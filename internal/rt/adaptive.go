@@ -272,13 +272,13 @@ func (rt *Runtime) routeDeadlineNs(ri int) int64 {
 // routeSend is the insert hot path's adaptive hook: it counts the event on
 // dest's route and, when the route is in Direct framing, ships the item
 // unbuffered (reporting true — the caller skips its buffer push). Called
-// only when routes are wired.
-func (rt *Runtime) routeSend(ri int, dest cluster.WorkerID, value uint64) bool {
-	r := &rt.routes[ri]
+// only when routes are wired, with the item already in w's unsettled tally.
+func (w *worker) routeSend(ri int, dest cluster.WorkerID, value uint64) bool {
+	r := &w.rt.routes[ri]
 	r.events.Add(1)
 	if r.direct.Load() {
-		rt.M.DirectItems.Add(1)
-		rt.postInline(dest, value)
+		w.sent[cDirectItems]++
+		w.postInline(dest, value)
 		return true
 	}
 	return false

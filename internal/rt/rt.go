@@ -39,6 +39,45 @@
 // extend the run; the runtime completes when no worker is generating and no
 // item is undelivered.
 //
+// # Counters and in-flight accounting
+//
+// Ctx.Send writes nothing another goroutine writes, and performs no atomic
+// operation of its own on the buffered paths. The per-item counters
+// (Inserted, SelfItems, LocalDirect, DirectItems) live in each worker, on
+// lines only that worker's goroutine writes: a plain tally, added to the
+// worker's published counts once per kernel chunk and once per delivered
+// batch. Counters and Run's Result sum the published counts over the workers
+// on read (plus Metrics.Ingested/IngestedDirect, the shared pair the
+// serve-mode admit path keeps because frontend goroutines are not workers),
+// so a mid-run snapshot trails each running worker by at most one chunk or
+// batch and is exact whenever the runtime is quiet. Everything else in
+// Metrics is batch-granular.
+//
+// In-flight accounting is one shared counter, Runtime.inflight, touched once
+// per sealed batch, once per unbuffered post and once per delivered batch. A
+// worker tallies its sends (and Ctx.Post tasks) in a private unsettled count
+// and settles — adds the tally to inflight — only where an item becomes
+// reachable by another goroutine: in its single-producer buffers' emit
+// closures, before postInline, and before a push into a shared MPBuffer.
+// Retiring a delivered batch and settling the sends its DeliverFuncs issued
+// is a single add of (unsettled − n). The settle-before-publish invariant:
+//
+//   - an item is counted in inflight before any other goroutine can see it,
+//     so the counter is never negative;
+//   - a worker holding unsettled sends is either counted in producing or is
+//     inside a handler (or posted task) whose batch is still counted;
+//   - every worker settles before producing.Add(-1), and past that point its
+//     handlers and posted tasks each end by settling, so it parks with
+//     nothing unsettled.
+//
+// Hence producing == 0 && inflight == 0 still implies that no item exists
+// anywhere, zero is reached only by a decrement (no wake-up is lost), and
+// LocallyQuiet, SetQuietNotify and CrossCounts keep their meaning in
+// partitioned mode. Counters().Inflight is therefore "published and
+// undelivered": it excludes sends still private to a running worker, which
+// is safe to exclude because that worker is itself visible in Producing or
+// in the batch it is handling.
+//
 // # Partitioned mode
 //
 // Config.Part restricts a runtime to ONE process of the topology: only that
@@ -68,6 +107,14 @@
 // posting a flush request to the owning worker for single-producer buffers.
 // Workers additionally flush everything they own whenever they go idle,
 // mirroring core.Config.FlushOnIdle.
+//
+// The progress goroutine is the backstop, not the primary: a running worker
+// re-checks its own single-producer buffers and its process's shared PP
+// buffers between kernel chunks (worker.deadlineFlush), so for every scheme
+// the oldest buffered item waits at most FlushDeadline + one chunk while its
+// buffer's owner runs (for PP: while any worker of the process does), and at
+// most FlushDeadline + the progress tick period (FlushDeadline/2) when the
+// owners are parked or stuck inside a kernel step.
 //
 // # Pooling and batch ownership
 //
@@ -234,25 +281,37 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Metrics counts runtime activity. All fields are atomically updated and may
-// be read after Run returns.
+// Metrics holds the runtime's shared activity counters: the ones updated once
+// per batch, by whichever goroutine seals or delivers it. The per-item
+// counters of Ctx.Send are worker-owned (worker.counts); Counters sums both.
 type Metrics struct {
-	Inserted    atomic.Int64 // items passed to Send
 	Delivered   atomic.Int64 // items handed to DeliverFunc (excluding self items)
-	SelfItems   atomic.Int64 // self items delivered inline
-	LocalDirect atomic.Int64 // same-process items delivered unbuffered (SMP-aware path)
 	Batches     atomic.Int64 // aggregated batches emitted
 	FullBatches atomic.Int64 // batches emitted because a buffer filled
 	Flushes     atomic.Int64 // batches emitted by an explicit/idle/deadline flush
-	// DeadlineFlushes counts batches flushed specifically by the progress
-	// goroutine's latency bound (also counted in Flushes).
+	// DeadlineFlushes counts batches flushed specifically by the latency
+	// bound (also counted in Flushes).
 	DeadlineFlushes atomic.Int64
-	// DirectItems counts items shipped unbuffered because adaptive path
-	// selection had their destination in Direct framing.
-	DirectItems atomic.Int64
 	// PathSwitches counts adaptive Direct<->buffered transitions.
 	PathSwitches atomic.Int64
+
+	// Ingested and IngestedDirect are the admit path's share of Inserted and
+	// DirectItems (serve mode): per-event writes from frontend goroutines,
+	// kept off the line the workers' per-batch counters above live on.
+	_              [64]byte
+	Ingested       atomic.Int64
+	IngestedDirect atomic.Int64
 }
+
+// The per-item counters of Ctx.Send, as indexes into a worker's sent tally
+// and its published counts.
+const (
+	cInserted    = iota // items passed to Send
+	cSelfItems          // self items delivered inline
+	cLocalDirect        // same-process items delivered unbuffered (SMP-aware path)
+	cDirectItems        // items sent unbuffered because their adaptive route was in Direct framing
+	numSendCounts
+)
 
 // Result reports one completed run.
 type Result struct {
@@ -318,12 +377,19 @@ type msg struct {
 // worker is one PE: a goroutine owning an inbox and (per scheme) a set of
 // single-producer buffers.
 type worker struct {
-	id    cluster.WorkerID
-	proc  cluster.ProcID
-	rank  int
-	rt    *Runtime
+	// inbox and flushReq are the two fields other goroutines write; the pad
+	// keeps them off the lines the owner reads and writes per item.
 	inbox mpsc
-	note  chan struct{} // capacity 1: wake-up for a parked worker
+	// flushReq is set by the progress goroutine when it posts an mkFlushReq,
+	// cleared when the worker handles it; it keeps the inbox from flooding.
+	flushReq atomic.Bool
+	_        [64]byte
+
+	id   cluster.WorkerID
+	proc cluster.ProcID
+	rank int
+	rt   *Runtime
+	note chan struct{} // capacity 1: wake-up for a parked worker
 
 	kernel KernelFunc
 	steps  int
@@ -332,10 +398,6 @@ type worker struct {
 	wwBufs []*shmem.SPBuffer[uint64]
 	// wpsBufs[p] (WPs/WsP) buffers items for destination process p.
 	wpsBufs []*shmem.SPBuffer[Item]
-
-	// flushReq is set by the progress goroutine when it posts an mkFlushReq,
-	// cleared when the worker handles it; it keeps the inbox from flooding.
-	flushReq atomic.Bool
 
 	// runScratch is reused across mkItems groupings (the worker handles one
 	// message at a time, and runs are consumed before the next grouping).
@@ -355,6 +417,19 @@ type worker struct {
 
 	ctx     Ctx
 	contrib int64
+
+	// sent tallies the worker's per-item counters since it last published
+	// them, in plain memory; counts is the published running total Counters
+	// reads, brought up to date once per kernel chunk and once per delivered
+	// batch (publishCounts). unsettled is the sends and posted tasks the
+	// worker has issued but not yet added to rt.inflight (see the package
+	// comment's settle-before-publish invariant). The trailing pad ends the
+	// owner-written region, so the next heap object cannot put a
+	// shared-written field on its last line.
+	sent      [numSendCounts]int64
+	counts    [numSendCounts]atomic.Int64
+	unsettled int64
+	_         [64]byte
 }
 
 // Ctx is the execution context passed to kernels and DeliverFunc, mirroring
@@ -383,18 +458,13 @@ type Runtime struct {
 	procs   []*procState
 	procRR  []atomic.Int32 // receiving-worker round-robin per process
 
-	producing atomic.Int64 // workers still in their generation phase
-	inflight  atomic.Int64 // items inserted but not yet delivered
-	done      chan struct{}
-	doneOnce  sync.Once
+	done     chan struct{}
+	doneOnce sync.Once
 
-	// Partitioned-mode state: sentCross/recvCross are the monotone item
-	// counters of the coordinator's four-counter termination detection;
-	// quietC (if set) is notified on every transition to local quiescence.
-	part      *Partition
-	sentCross atomic.Int64
-	recvCross atomic.Int64
-	quietC    chan struct{}
+	// Partitioned-mode state: quietC (if set) is notified on every
+	// transition to local quiescence.
+	part   *Partition
+	quietC chan struct{}
 
 	// Serve-mode state (nil/unused otherwise): gates[d] is destination d's
 	// ingress admission window (a channel semaphore: a buffered slot per
@@ -417,7 +487,18 @@ type Runtime struct {
 	u64s     slicePool[uint64]
 	itemsPkd slicePool[Item]
 
-	M Metrics
+	// Everything below is written by many goroutines, once per batch; the
+	// pads keep those writes off the lines holding the read-mostly fields
+	// above, which Ctx.Send loads per item.
+	_         [64]byte
+	producing atomic.Int64 // workers still in their generation phase
+	inflight  atomic.Int64 // items published (see the package comment) but not yet delivered
+	// sentCross/recvCross are the monotone item counters of the coordinator's
+	// four-counter termination detection (partitioned mode).
+	sentCross atomic.Int64
+	recvCross atomic.Int64
+	M         Metrics
+	_         [64]byte
 }
 
 // New builds a runtime. spawn assigns each worker its kernel.
@@ -479,6 +560,11 @@ func New(cfg Config, deliver DeliverFunc, spawn SpawnFunc) *Runtime {
 	// Send short-circuits dest == self inline, so wwBufs[w.id] is unused;
 	// the SMP-aware schemes route same-process items through LocalDirect,
 	// so wpsBufs[w.proc] and ppBufs[p][p] are unused.
+	//
+	// A single-producer buffer's emit closure runs on its owner's goroutine
+	// and is where the batch becomes reachable by others, so it settles the
+	// owner's tally first. The shared PP buffers' closures run on whichever
+	// goroutine seals; their items were settled before the push.
 	switch cfg.Scheme {
 	case core.WW:
 		for _, w := range rt.workers {
@@ -492,6 +578,7 @@ func New(cfg Config, deliver DeliverFunc, spawn SpawnFunc) *Runtime {
 				}
 				dest := cluster.WorkerID(d)
 				b := shmem.NewSPBuffer(cfg.BufferItems, func(bt shmem.Batch[uint64]) {
+					w.settle()
 					rt.noteSeal(int(dest), len(bt.Items), bt.Oldest)
 					rt.emitToWorker(dest, bt.Items, len(bt.Items) == cfg.BufferItems)
 				})
@@ -513,6 +600,7 @@ func New(cfg Config, deliver DeliverFunc, spawn SpawnFunc) *Runtime {
 				}
 				dst := cluster.ProcID(p)
 				b := shmem.NewSPBuffer(cfg.BufferItems, func(bt shmem.Batch[Item]) {
+					w.settle()
 					rt.noteSeal(int(dst), len(bt.Items), bt.Oldest)
 					rt.emitToProc(w, dst, bt.Items, grouped, len(bt.Items) == cfg.BufferItems)
 				})
@@ -536,7 +624,7 @@ func New(cfg Config, deliver DeliverFunc, spawn SpawnFunc) *Runtime {
 					rt.noteSeal(int(dst), len(bt.Items), bt.Oldest)
 					rt.emitToProc(nil, dst, bt.Items, false, len(bt.Items) == cfg.BufferItems)
 				})
-				b.SetAlloc(rt.allocItemsFull)
+				b.SetAlloc(rt.allocItems)
 				ps.ppBufs[p] = b
 			}
 			rt.procs[sp] = ps
@@ -579,19 +667,20 @@ func (rt *Runtime) Run() Result {
 	wg.Wait()
 	wall := time.Since(start)
 
+	c := rt.Counters()
 	res := Result{
 		Wall:            wall,
-		Delivered:       rt.M.Delivered.Load() + rt.M.SelfItems.Load(),
-		Inserted:        rt.M.Inserted.Load(),
-		Batches:         rt.M.Batches.Load(),
-		FullBatches:     rt.M.FullBatches.Load(),
-		Flushes:         rt.M.Flushes.Load(),
-		DeadlineFlushes: rt.M.DeadlineFlushes.Load(),
-		LocalDirect:     rt.M.LocalDirect.Load(),
-		RemoteSent:      rt.sentCross.Load(),
-		RemoteRecv:      rt.recvCross.Load(),
-		DirectItems:     rt.M.DirectItems.Load(),
-		PathSwitches:    rt.M.PathSwitches.Load(),
+		Delivered:       c.Delivered,
+		Inserted:        c.Inserted,
+		Batches:         c.Batches,
+		FullBatches:     c.FullBatches,
+		Flushes:         c.Flushes,
+		DeadlineFlushes: c.DeadlineFlushes,
+		LocalDirect:     c.LocalDirect,
+		RemoteSent:      c.RemoteSent,
+		RemoteRecv:      c.RemoteRecv,
+		DirectItems:     c.DirectItems,
+		PathSwitches:    c.PathSwitches,
 	}
 	for _, w := range rt.workers {
 		if w != nil {
@@ -697,9 +786,6 @@ func (rt *Runtime) EnqueueRuns(runs []Run) {
 func (rt *Runtime) allocU64(n int) []uint64 { return rt.u64s.get(n) }
 
 func (rt *Runtime) allocItems(n int) []Item { return rt.itemsPkd.get(n) }
-
-// allocItemsFull is allocItems for MPBuffer epochs (same contract).
-func (rt *Runtime) allocItemsFull(n int) []Item { return rt.allocItems(n) }
 
 func (rt *Runtime) putU64(s []uint64) { rt.u64s.put(s) }
 func (rt *Runtime) putItems(s []Item) { rt.itemsPkd.put(s) }
@@ -856,45 +942,50 @@ func (c *Ctx) Contribute(v int64) { c.w.contrib += v }
 
 // Send submits one item for delivery to worker dest, routing it through the
 // configured scheme's wiring — the real counterpart of core.Lib.Insert.
+//
+// The item joins the worker's unsettled tally here and rt.inflight only where
+// it becomes reachable by another goroutine: right here for the unbuffered
+// and shared-buffer paths, in the emit closure for a single-producer buffer.
 func (c *Ctx) Send(dest cluster.WorkerID, value uint64) {
 	rt := c.rt
 	w := c.w
-	rt.M.Inserted.Add(1)
+	w.sent[cInserted]++
 
 	if dest == w.id {
 		// Self items short-circuit inline, as in the simulator.
-		rt.M.SelfItems.Add(1)
+		w.sent[cSelfItems]++
 		rt.deliver(c, value)
 		return
 	}
 
-	rt.inflight.Add(1)
+	w.unsettled++
 	dstProc := rt.topo.ProcOf(dest)
 	scheme := rt.cfg.Scheme
 	if scheme != core.Direct && scheme != core.WW && dstProc == w.proc {
 		// SMP-aware local path: direct unbuffered delivery.
-		rt.M.LocalDirect.Add(1)
-		rt.postInline(dest, value)
+		w.sent[cLocalDirect]++
+		w.postInline(dest, value)
 		return
 	}
 
 	switch scheme {
 	case core.Direct:
-		rt.postInline(dest, value)
+		w.postInline(dest, value)
 	case core.WW:
-		if rt.routes != nil && rt.routeSend(int(dest), dest, value) {
+		if rt.routes != nil && w.routeSend(int(dest), dest, value) {
 			return
 		}
 		w.wwBufs[dest].Push(value)
 	case core.WPs, core.WsP:
-		if rt.routes != nil && rt.routeSend(int(dstProc), dest, value) {
+		if rt.routes != nil && w.routeSend(int(dstProc), dest, value) {
 			return
 		}
 		w.wpsBufs[dstProc].Push(Item{Dest: dest, Val: value})
 	case core.PP:
-		if rt.routes != nil && rt.routeSend(int(dstProc), dest, value) {
+		if rt.routes != nil && w.routeSend(int(dstProc), dest, value) {
 			return
 		}
+		w.settle()
 		rt.procs[w.proc].ppBufs[dstProc].Push(Item{Dest: dest, Val: value})
 	}
 }
@@ -912,7 +1003,7 @@ func (c *Ctx) Flush() { c.w.flushOwn(); c.rt.flushProc(c.w.proc) }
 // Must be called from the worker's own goroutine (kernels and DeliverFuncs
 // already run there).
 func (c *Ctx) Post(fn func(*Ctx)) {
-	c.rt.inflight.Add(1)
+	c.w.unsettled++
 	c.w.local = append(c.w.local, fn)
 }
 
@@ -931,6 +1022,7 @@ func (w *worker) run() {
 				w.kernel(&w.ctx, done+i)
 			}
 			done += n
+			w.publishCounts()
 			w.drain()
 			w.runLocal()
 			w.deadlineFlush()
@@ -945,9 +1037,13 @@ func (w *worker) run() {
 			}
 		}
 	}
-	// Generation over: flush and enter the consume-only phase.
+	// Generation over: flush, settle, and enter the consume-only phase, where
+	// the worker is visible to quiescence only through rt.inflight. The
+	// flushes' seals and runLocal's finish have normally settled everything
+	// already; the explicit settle keeps the invariant from resting on that.
 	w.flushOwn()
 	rt.flushProc(w.proc)
+	w.settle()
 	if rt.producing.Add(-1) == 0 {
 		rt.checkQuiesce()
 	}
@@ -966,6 +1062,8 @@ func (w *worker) run() {
 		if w.drain() || w.hasLocal() {
 			continue
 		}
+		// Nothing is unsettled here: in this phase sends come only from
+		// handlers and posted tasks, and each ends in w.finish.
 		select {
 		case <-w.note:
 		case <-rt.done:
@@ -995,7 +1093,7 @@ func (w *worker) runLocal() bool {
 		w.local[w.localHead] = nil
 		w.localHead++
 		fn(&w.ctx)
-		w.rt.finish(1)
+		w.finish(1)
 	}
 	if w.localHead == len(w.local) {
 		w.local = w.local[:0]
@@ -1047,7 +1145,7 @@ func (w *worker) handle(m *msg) {
 			rt.putU64(m.payloads)
 		}
 		rt.putMsg(m)
-		rt.finish(int64(n))
+		w.finish(int64(n))
 
 	case mkItems:
 		// Destination-side grouping (WPs, PP): deliver own items, forward
@@ -1095,13 +1193,58 @@ func (w *worker) scatterRuns(runs []Run) {
 	}
 	if own > 0 {
 		rt.M.Delivered.Add(own)
-		rt.finish(own)
+		w.finish(own)
 	}
 }
 
-// finish retires n delivered items from the in-flight count and checks for
-// global quiescence. Called only after the items' DeliverFuncs returned, so
-// any sends they issued are already counted.
+// postInline is rt.postInline for an item this worker just sent: it is about
+// to be reachable by the destination, so the tally holding it settles first.
+func (w *worker) postInline(dest cluster.WorkerID, value uint64) {
+	w.settle()
+	w.rt.postInline(dest, value)
+}
+
+// settle publishes the worker's unsettled sends and posted tasks to
+// rt.inflight. Owner goroutine only; called before anything in the tally
+// becomes reachable by another goroutine.
+func (w *worker) settle() {
+	if w.unsettled != 0 {
+		w.rt.inflight.Add(w.unsettled)
+		w.unsettled = 0
+	}
+}
+
+// publishCounts adds the worker's sent tally to its published counts. Every
+// Send happens inside a kernel chunk, a handler or a posted task, and each of
+// those ends here, so the published counts are exact whenever the worker is
+// between them — in particular at quiescence — and lag a running worker by
+// at most one chunk or batch.
+func (w *worker) publishCounts() {
+	for i, n := range w.sent {
+		if n != 0 {
+			w.counts[i].Add(n)
+			w.sent[i] = 0
+		}
+	}
+}
+
+// finish retires n items this worker delivered (or one posted task it ran)
+// and settles the sends their handlers issued, as one add. Called only after
+// the DeliverFuncs returned, so those sends are in the tally. A positive or
+// zero net cannot reach zero — the retired batch was counted until now — so
+// only a net decrement checks for quiescence.
+func (w *worker) finish(n int64) {
+	w.publishCounts()
+	d := w.unsettled - n
+	w.unsettled = 0
+	if d != 0 && w.rt.inflight.Add(d) == 0 {
+		w.rt.checkQuiesce()
+	}
+}
+
+// finish retires n items handed to the transport, from a goroutine with
+// nothing unsettled: a worker inside an emit closure or past Send's settle,
+// the progress goroutine sealing a shared buffer, a serve frontend.
 func (rt *Runtime) finish(n int64) {
 	if rt.inflight.Add(-n) == 0 {
 		rt.checkQuiesce()
@@ -1153,12 +1296,12 @@ func (rt *Runtime) flushProc(p cluster.ProcID) {
 	}
 }
 
-// deadlineFlush seals the worker's single-producer buffers whose oldest item
-// has exceeded the latency bound — the static FlushDeadline, or the buffer's
-// route deadline when the adaptive controller is steering. The buffer index
-// IS the route index for every single-producer layout (wwBufs by destination
-// worker under WW, wpsBufs by destination process), so the per-destination
-// bound needs no extra mapping.
+// deadlineFlush seals the worker's single-producer buffers, and its process's
+// shared PP buffers, whose oldest item has exceeded the latency bound — the
+// static FlushDeadline, or the buffer's route deadline when the adaptive
+// controller is steering. The buffer index IS the route index for every
+// layout (wwBufs by destination worker under WW, wpsBufs and ppBufs by
+// destination process), so the per-destination bound needs no extra mapping.
 func (w *worker) deadlineFlush() {
 	rt := w.rt
 	d := rt.cfg.FlushDeadline
@@ -1171,11 +1314,7 @@ func (w *worker) deadlineFlush() {
 		if b == nil {
 			continue
 		}
-		c := cutoff
-		if rt.routes != nil {
-			c = now - rt.routeDeadlineNs(i)
-		}
-		if o := b.OldestNanos(); o != 0 && o <= c {
+		if o := b.OldestNanos(); o != 0 && o <= rt.routeCutoff(i, now, cutoff) {
 			b.Flush()
 			rt.M.DeadlineFlushes.Add(1)
 		}
@@ -1184,15 +1323,39 @@ func (w *worker) deadlineFlush() {
 		if b == nil {
 			continue
 		}
-		c := cutoff
-		if rt.routes != nil {
-			c = now - rt.routeDeadlineNs(i)
-		}
-		if o := b.OldestNanos(); o != 0 && o <= c {
+		if o := b.OldestNanos(); o != 0 && o <= rt.routeCutoff(i, now, cutoff) {
 			b.Flush()
 			rt.M.DeadlineFlushes.Add(1)
 		}
 	}
+	if rt.procs != nil {
+		rt.deadlineFlushShared(rt.procs[w.proc], now, cutoff)
+	}
+}
+
+// deadlineFlushShared seals the shared PP buffers of one process whose oldest
+// item is past its bound (the route deadline when adaptive, else the static
+// cutoff). Safe from any goroutine: every worker of the process runs it
+// between chunks, and the progress goroutine behind them.
+func (rt *Runtime) deadlineFlushShared(ps *procState, nowNs, cutoff int64) {
+	for p, b := range ps.ppBufs {
+		if b == nil {
+			continue
+		}
+		if b.FlushIfOlder(rt.routeCutoff(p, nowNs, cutoff)) {
+			rt.M.DeadlineFlushes.Add(1)
+		}
+	}
+}
+
+// routeCutoff returns the arrival stamp at or before which a buffer feeding
+// route ri is overdue: now minus the route's deadline when the adaptive
+// controller is steering, else the caller's precomputed static cutoff.
+func (rt *Runtime) routeCutoff(ri int, nowNs, cutoff int64) int64 {
+	if rt.routes != nil {
+		return nowNs - rt.routeDeadlineNs(ri)
+	}
+	return cutoff
 }
 
 // progress is the latency-sensitive progress goroutine: it enforces
@@ -1242,22 +1405,12 @@ func (rt *Runtime) progress() {
 				rt.M.DeadlineFlushes.Add(1)
 			}
 		}
-		// Shared PP buffers can be flushed from here directly.
+		// Shared PP buffers can be flushed from here directly: the backstop
+		// for processes whose workers are parked or stuck in a kernel step
+		// (running workers get there first, in deadlineFlush).
 		for _, ps := range rt.procs {
-			if ps == nil {
-				continue
-			}
-			for p, b := range ps.ppBufs {
-				if b == nil {
-					continue
-				}
-				c := cutoff
-				if rt.routes != nil {
-					c = nowNs - rt.routeDeadlineNs(p)
-				}
-				if b.FlushIfOlder(c) {
-					rt.M.DeadlineFlushes.Add(1)
-				}
+			if ps != nil {
+				rt.deadlineFlushShared(ps, nowNs, cutoff)
 			}
 		}
 		// Single-producer buffers belong to their workers: post one flush
@@ -1287,11 +1440,7 @@ func (w *worker) overdue(nowNs, cutoff int64) bool {
 		if b == nil {
 			continue
 		}
-		c := cutoff
-		if rt.routes != nil {
-			c = nowNs - rt.routeDeadlineNs(i)
-		}
-		if o := b.OldestNanos(); o != 0 && o <= c {
+		if o := b.OldestNanos(); o != 0 && o <= rt.routeCutoff(i, nowNs, cutoff) {
 			return true
 		}
 	}
@@ -1299,11 +1448,7 @@ func (w *worker) overdue(nowNs, cutoff int64) bool {
 		if b == nil {
 			continue
 		}
-		c := cutoff
-		if rt.routes != nil {
-			c = nowNs - rt.routeDeadlineNs(i)
-		}
-		if o := b.OldestNanos(); o != 0 && o <= c {
+		if o := b.OldestNanos(); o != 0 && o <= rt.routeCutoff(i, nowNs, cutoff) {
 			return true
 		}
 	}

@@ -46,11 +46,42 @@ func histoRun(t *testing.T, scheme core.Scheme, topo cluster.Topology, z, g int,
 			ctx.Send(dest, uint64(dest)<<48|u&0xffffffffffff)
 		}
 	})
+	// Counters is polled while the flood runs: the worker-owned per-item
+	// counters are summed on read, so a mid-run snapshot must be race-free,
+	// monotone, and never show a negative in-flight count.
+	stopPoll := make(chan struct{})
+	polled := make(chan struct{})
+	go func() {
+		defer close(polled)
+		var last Counters
+		for {
+			c := rtm.Counters()
+			if c.Inflight < 0 {
+				t.Errorf("Counters().Inflight = %d mid-run", c.Inflight)
+				return
+			}
+			if c.Inserted < last.Inserted || c.Delivered < last.Delivered {
+				t.Errorf("counters went backwards: %+v after %+v", c, last)
+				return
+			}
+			last = c
+			select {
+			case <-stopPoll:
+				return
+			default:
+				runtime.Gosched()
+			}
+		}
+	}()
 	res := rtm.Run()
+	close(stopPoll)
+	<-polled
 
-	// Replay the generators serially for the expected multiset.
+	// Replay the generators serially for the expected multiset, and for the
+	// per-item counters' expected split.
 	wantCount := make([]int64, W)
 	wantXor := make([]uint64, W)
+	var wantSelf, wantLocal int64
 	for w := 0; w < W; w++ {
 		r := rng.NewStream(7, w)
 		for i := 0; i < z; i++ {
@@ -58,7 +89,26 @@ func histoRun(t *testing.T, scheme core.Scheme, topo cluster.Topology, z, g int,
 			dest := u % uint64(W)
 			wantCount[dest]++
 			wantXor[dest] ^= dest<<48 | u&0xffffffffffff
+			switch {
+			case int(dest) == w:
+				wantSelf++
+			case topo.ProcOf(cluster.WorkerID(dest)) == topo.ProcOf(cluster.WorkerID(w)):
+				wantLocal++
+			}
 		}
+	}
+	if scheme == core.Direct || scheme == core.WW {
+		wantLocal = 0 // no SMP-aware local path
+	}
+	c := rtm.Counters()
+	if c.Inflight != 0 || c.Producing != 0 {
+		t.Errorf("quiet runtime reports inflight %d producing %d", c.Inflight, c.Producing)
+	}
+	if c.Inserted != res.Inserted || c.Delivered != res.Delivered || c.LocalDirect != res.LocalDirect || c.DirectItems != res.DirectItems {
+		t.Errorf("Counters %+v disagree with Result %+v", c, res)
+	}
+	if c.SelfItems != wantSelf || c.LocalDirect != wantLocal || c.DirectItems != 0 {
+		t.Errorf("self %d local-direct %d direct %d, want %d %d 0", c.SelfItems, c.LocalDirect, c.DirectItems, wantSelf, wantLocal)
 	}
 	var total int64
 	for w := 0; w < W; w++ {
@@ -387,6 +437,11 @@ func TestPartitionedLoopback(t *testing.T) {
 				_     [48]byte
 			}
 			got := make([]cell, W)
+			// What the sampler below checks LocallyQuiet against: remote-bound
+			// items each process's kernels have issued (counted before the
+			// Send) and items delivered at each process.
+			issuedRemote := make([]atomic.Int64, P)
+			deliveredAt := make([]atomic.Int64, P)
 
 			peers := make([]*Runtime, P)
 			quiet := make(chan struct{}, P)
@@ -404,11 +459,15 @@ func TestPartitionedLoopback(t *testing.T) {
 					got[self].count++
 					got[self].xor ^= v
 					ctx.Contribute(1)
+					deliveredAt[ctx.Proc()].Add(1)
 				}, func(w cluster.WorkerID) (int, KernelFunc) {
 					r := rng.NewStream(7, int(w))
 					return z, func(ctx *Ctx, _ int) {
 						u := r.Uint64()
 						dest := cluster.WorkerID(u % uint64(W))
+						if topo.ProcOf(dest) != ctx.Proc() {
+							issuedRemote[ctx.Proc()].Add(1)
+						}
 						ctx.Send(dest, uint64(dest)<<48|u&0xffffffffffff)
 					}
 				})
@@ -416,6 +475,45 @@ func TestPartitionedLoopback(t *testing.T) {
 				lb.self = rtm
 				peers[p] = rtm
 			}
+
+			// The settle-before-publish invariant, sampled from outside while
+			// the run is live: the published in-flight count is never
+			// negative, and a process that reads locally quiet has already
+			// counted in sent every remote item its kernels had issued, and
+			// delivered every item it had counted in recv — the worker-private
+			// tally may hide sends from Inflight, never from quiescence.
+			stopSample := make(chan struct{})
+			sampled := make(chan struct{})
+			go func() {
+				defer close(sampled)
+				for {
+					for p, rtm := range peers {
+						if in := rtm.Counters().Inflight; in < 0 {
+							t.Errorf("proc %d: Counters().Inflight = %d", p, in)
+							return
+						}
+						issued := issuedRemote[p].Load()
+						_, recv := rtm.CrossCounts()
+						if !rtm.LocallyQuiet() {
+							continue
+						}
+						if sent, _ := rtm.CrossCounts(); sent < issued {
+							t.Errorf("proc %d quiet with %d remote items issued but %d counted sent", p, issued, sent)
+							return
+						}
+						if d := deliveredAt[p].Load(); d < recv {
+							t.Errorf("proc %d quiet with %d items received but %d delivered", p, recv, d)
+							return
+						}
+					}
+					select {
+					case <-stopSample:
+						return
+					default:
+						runtime.Gosched()
+					}
+				}
+			}()
 
 			results := make([]Result, P)
 			var wg sync.WaitGroup
@@ -481,6 +579,8 @@ func TestPartitionedLoopback(t *testing.T) {
 				rtm.Stop()
 			}
 			wg.Wait()
+			close(stopSample)
+			<-sampled
 
 			// Replay the generators serially for the expected multiset.
 			wantCount := make([]int64, W)

@@ -86,7 +86,7 @@ func (rt *Runtime) wireServe(cfg Config) {
 				}
 				rt.emitToProc(nil, dst, bt.Items, false, len(bt.Items) == cfg.BufferItems)
 			})
-			b.SetAlloc(rt.allocItemsFull)
+			b.SetAlloc(rt.allocItems)
 			rt.ingressBufs[p] = b
 		}
 	}
@@ -151,7 +151,7 @@ func (rt *Runtime) TryIngest(dest cluster.WorkerID, value uint64) bool {
 
 // admit routes an admitted event (its credit already held) into the runtime.
 func (rt *Runtime) admit(dest cluster.WorkerID, value uint64) {
-	rt.M.Inserted.Add(1)
+	rt.M.Ingested.Add(1)
 	rt.inflight.Add(1)
 	if rt.part != nil && rt.topo.ProcOf(dest) != rt.part.Proc {
 		// Adaptive path selection applies to ingress like any other insert:
@@ -173,7 +173,7 @@ func (rt *Runtime) admit(dest cluster.WorkerID, value uint64) {
 		// amortization threshold): one wire message per event, credit
 		// released at hand-off like a sealed batch's.
 		if direct {
-			rt.M.DirectItems.Add(1)
+			rt.M.IngestedDirect.Add(1)
 		}
 		rt.sentCross.Add(1)
 		rt.part.Remote.SendOne(dest, value)
@@ -269,9 +269,9 @@ func (rt *Runtime) noteSeal(ri, n int, oldest int64) {
 }
 
 // Counters is a plain snapshot of the runtime's activity counters and
-// liveness gauges, the scrape-endpoint surface (Metrics holds the live
-// atomics; Result exists only after a run ends). Flush causes are split:
-// FullBatches counts occupancy-triggered seals, Flushes counts
+// liveness gauges, the scrape-endpoint surface (Metrics and the workers hold
+// the live atomics; Result exists only after a run ends). Flush causes are
+// split: FullBatches counts occupancy-triggered seals, Flushes counts
 // explicit/idle/deadline seals, and DeadlineFlushes the deadline subset.
 type Counters struct {
 	Inserted    int64
@@ -284,8 +284,9 @@ type Counters struct {
 	Flushes         int64
 	DeadlineFlushes int64
 
-	// Inflight is the current admitted-but-undelivered item count; Producing
-	// the workers still in their generation phase.
+	// Inflight is the published-and-undelivered item count (sends still
+	// private to a running worker are excluded; see the package comment);
+	// Producing the workers still in their generation phase.
 	Inflight  int64
 	Producing int64
 
@@ -306,13 +307,13 @@ type Counters struct {
 
 // Counters snapshots the runtime's counters. Safe from any goroutine, during
 // or after a run; individual fields are loaded independently (monitoring
-// consistency, not a linearizable cut).
+// consistency, not a linearizable cut). The per-item counters are summed
+// over their owners — every worker's published counts plus the admit path's
+// shared pair — and trail a running worker by at most one chunk or batch.
 func (rt *Runtime) Counters() Counters {
 	c := Counters{
-		Inserted:        rt.M.Inserted.Load(),
-		Delivered:       rt.M.Delivered.Load() + rt.M.SelfItems.Load(),
-		SelfItems:       rt.M.SelfItems.Load(),
-		LocalDirect:     rt.M.LocalDirect.Load(),
+		Inserted:        rt.M.Ingested.Load(),
+		Delivered:       rt.M.Delivered.Load(),
 		Batches:         rt.M.Batches.Load(),
 		FullBatches:     rt.M.FullBatches.Load(),
 		Flushes:         rt.M.Flushes.Load(),
@@ -321,9 +322,19 @@ func (rt *Runtime) Counters() Counters {
 		Producing:       rt.producing.Load(),
 		RemoteSent:      rt.sentCross.Load(),
 		RemoteRecv:      rt.recvCross.Load(),
-		DirectItems:     rt.M.DirectItems.Load(),
+		DirectItems:     rt.M.IngestedDirect.Load(),
 		PathSwitches:    rt.M.PathSwitches.Load(),
 	}
+	for _, w := range rt.workers {
+		if w == nil {
+			continue
+		}
+		c.Inserted += w.counts[cInserted].Load()
+		c.SelfItems += w.counts[cSelfItems].Load()
+		c.LocalDirect += w.counts[cLocalDirect].Load()
+		c.DirectItems += w.counts[cDirectItems].Load()
+	}
+	c.Delivered += c.SelfItems
 	for _, g := range rt.gates {
 		c.IngressUsed += int64(len(g))
 		c.IngressCap = int64(cap(g))

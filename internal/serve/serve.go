@@ -42,6 +42,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -275,6 +276,7 @@ func (f *Frontend) handle(cs *connState) {
 				case <-time.After(2 * time.Second):
 				}
 				f.finalizeFail(cs)
+				discardInput(cs.conn)
 				return
 			}
 			cs.admitted++
@@ -331,12 +333,16 @@ func (f *Frontend) finalizeFail(cs *connState) {
 // TCP socket with unread received data aborts the connection with an RST,
 // which can destroy the just-written OpDrained/OpFail before the client
 // reads it. Bounded: the client closes once it has the final frame (EOF
-// here), and the deadline cuts off a client that never does.
+// here), and the deadline cuts off a client that never does. The deadline is
+// re-armed before every read because interruptReads can land again while
+// this runs (Abort is followed by Close), and a discard cut short by it is
+// exactly the early Close this function exists to prevent.
 func discardInput(conn net.Conn) {
-	conn.SetReadDeadline(time.Now().Add(time.Second))
+	limit := time.Now().Add(time.Second)
 	var buf [4096]byte
-	for {
-		if _, err := conn.Read(buf[:]); err != nil {
+	for time.Now().Before(limit) {
+		conn.SetReadDeadline(limit)
+		if _, err := conn.Read(buf[:]); err != nil && !errors.Is(err, os.ErrDeadlineExceeded) {
 			return
 		}
 	}

@@ -100,11 +100,11 @@ func TestGateDutyCycle(t *testing.T) {
 		off  time.Duration
 		wait time.Duration
 	}{
-		{0, 0},                            // start of on phase
-		{time.Millisecond, 0},             // mid on phase
-		{2 * time.Millisecond, 8 * time.Millisecond}, // first instant of off phase
-		{6 * time.Millisecond, 4 * time.Millisecond}, // mid off phase
-		{10 * time.Millisecond, 0},        // next cycle's on phase
+		{0, 0},                // start of on phase
+		{time.Millisecond, 0}, // mid on phase
+		{2 * time.Millisecond, 8 * time.Millisecond},  // first instant of off phase
+		{6 * time.Millisecond, 4 * time.Millisecond},  // mid off phase
+		{10 * time.Millisecond, 0},                    // next cycle's on phase
 		{12 * time.Millisecond, 8 * time.Millisecond}, // next cycle's off phase
 		{-3 * time.Millisecond, 3 * time.Millisecond}, // before origin: 7ms into prior cycle's off phase
 	}

@@ -32,7 +32,7 @@ type Metrics struct {
 	Inserted, Delivered, LocalDirect int64
 	// Batches counts aggregated messages; FullMsgs of them sealed because
 	// a buffer filled, FlushMsgs by an explicit/idle/timeout flush, and
-	// DeadlineFlushes (Real) by the progress goroutine's latency bound.
+	// DeadlineFlushes (Real) by the FlushDeadline latency bound.
 	Batches, FullMsgs, FlushMsgs, DeadlineFlushes int64
 	// RemoteMsgs / LocalMsgs split Batches by process-boundary crossing;
 	// InterNodeMsgs counts messages crossing physical nodes and BytesSent
