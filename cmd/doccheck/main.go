@@ -1,5 +1,6 @@
 // Command doccheck gates the documentation layer in CI. The prose documents
-// (README.md, ARCHITECTURE.md, docs/DEPLOY.md, docs/SERVE.md) make checkable claims —
+// (README.md, ARCHITECTURE.md, docs/DEPLOY.md, docs/SERVE.md, docs/TUNING.md,
+// docs/PERF.md) make checkable claims —
 // links to files in this repository, names of identifiers in the tram
 // package, fault-injection point strings, transport kind strings, and the
 // list of CI jobs — and every one of those claims rots silently when the
@@ -11,7 +12,8 @@
 //   - Backticked tram.<Name> identifiers must still exist in the tram
 //     package sources.
 //   - Backticked repo paths (internal/..., cmd/..., examples/..., docs/...,
-//     tram/...) must still exist.
+//     tram/..., benchmark/...) and root-level file names (*.json, *.sh,
+//     *.md) must still exist.
 //   - Fault-injection specs (point:action...) must name a point constant
 //     declared in internal/faultinject.
 //   - Transport kind strings quoted as `Transport: "..."` must appear in
@@ -37,13 +39,14 @@ import (
 )
 
 // docFiles are the prose documents under contract, relative to the root.
-var docFiles = []string{"README.md", "ARCHITECTURE.md", "docs/DEPLOY.md", "docs/SERVE.md", "docs/TUNING.md"}
+var docFiles = []string{"README.md", "ARCHITECTURE.md", "docs/DEPLOY.md", "docs/SERVE.md", "docs/TUNING.md", "docs/PERF.md"}
 
 var (
 	linkRe  = regexp.MustCompile(`\[[^\]]*\]\(([^)\s]+)\)`)
 	tickRe  = regexp.MustCompile("`([^`]+)`")
 	tramRe  = regexp.MustCompile(`^tram\.([A-Za-z_]\w*)`)
-	pathRe  = regexp.MustCompile(`^(?:internal|cmd|examples|docs|tram)(?:/[\w.*-]+)*/?$`)
+	pathRe  = regexp.MustCompile(`^(?:internal|cmd|examples|docs|tram|benchmark)(?:/[\w.*-]+)*/?$`)
+	rootRe  = regexp.MustCompile(`^[\w.-]+\.(?:json|sh|md)$`)
 	faultRe = regexp.MustCompile(`^([a-z][a-z0-9.-]*):(?:crash|stall|drop|error)\b`)
 	kindRe  = regexp.MustCompile(`^Transport: ("(?:\w+)")$`)
 	jobRe   = regexp.MustCompile(`^  ([A-Za-z0-9_-]+):\s*$`)
@@ -121,7 +124,8 @@ func (c *checker) checkLinks(doc, text string) {
 }
 
 // checkTokens validates the canonical names quoted in backticks: tram
-// identifiers, repo paths, fault-injection specs, and transport kinds.
+// identifiers, repo paths and root-level file names, fault-injection specs,
+// and transport kinds.
 func (c *checker) checkTokens(doc, text, tramSrc, configSrc string, faultPoints map[string]bool) {
 	for _, m := range tickRe.FindAllStringSubmatch(text, -1) {
 		tok := m[1]
@@ -144,7 +148,7 @@ func (c *checker) checkTokens(doc, text, tramSrc, configSrc string, faultPoints 
 			if !strings.Contains(configSrc, lit) {
 				c.failf("%s: `%s` names transport kind %s, unknown to tram/config.go", doc, tok, lit)
 			}
-		case pathRe.MatchString(tok):
+		case pathRe.MatchString(tok), rootRe.MatchString(tok):
 			rel := strings.TrimSuffix(strings.TrimSuffix(tok, "/"), "/...")
 			rel = strings.TrimSuffix(rel, "/*")
 			if base := filepath.Base(rel); strings.ContainsAny(base, "*") {

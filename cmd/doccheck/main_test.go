@@ -33,6 +33,9 @@ func greenTree() map[string]string {
 		"docs/DEPLOY.md":                      "# Deploy\n\nUse `transport.tcp-write:drop:proc=1` and `Transport: \"tcp\"`.\nBack to [../ARCHITECTURE.md](../ARCHITECTURE.md).\n",
 		"docs/SERVE.md":                       "# Serve\n\nSee [DEPLOY.md](DEPLOY.md); the `tram.Config` type again.\n",
 		"docs/TUNING.md":                      "# Tuning\n\nKnobs live on `tram.Config`; see [SERVE.md](SERVE.md).\n",
+		"docs/PERF.md":                        "# Perf\n\nRun `benchmark/run.sh`; workloads are named in `BENCHMARK.json`.\n",
+		"benchmark/run.sh":                    "#!/bin/sh\n",
+		"BENCHMARK.json":                      "{}\n",
 		"README.md":                           "# Repo\n\nci.yml runs two jobs:\n\n- **test** — build.\n- **docs** — `cmd/doccheck` over [ARCHITECTURE.md](ARCHITECTURE.md)\n  and [docs/DEPLOY.md](docs/DEPLOY.md); see `internal/faultinject`.\n",
 		"cmd/doccheck/main.go":                "package main\n",
 	}
@@ -90,6 +93,13 @@ func TestDriftIsCaught(t *testing.T) {
 				f["README.md"] = strings.Replace(f["README.md"], "`cmd/doccheck`", "`cmd/nonesuch`", 1)
 			},
 			want: "does not exist",
+		},
+		{
+			name: "stale root file",
+			mutate: func(f map[string]string) {
+				f["docs/PERF.md"] = strings.Replace(f["docs/PERF.md"], "`BENCHMARK.json`", "`BENCH_gone.json`", 1)
+			},
+			want: "`BENCH_gone.json` references BENCH_gone.json, which does not exist",
 		},
 		{
 			name: "CI job not listed",

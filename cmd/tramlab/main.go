@@ -1,7 +1,9 @@
 // Command tramlab regenerates the paper's tables and figures on the
-// simulator. Each figure of the evaluation section (plus the §III-A comm
-// thread analysis, id "a1") has a runner; results print as aligned text
-// tables or CSV.
+// simulator, and prints the comparison tables that run the same kernels on
+// the other backends. Each figure of the evaluation section (plus the §III-A
+// comm thread analysis, id "a1") has a runner; paired figures (12/13, 14/15,
+// 16/17) share one, and naming either id — or both — runs it once. Results
+// print as aligned text tables or CSV.
 //
 // Usage:
 //
@@ -12,9 +14,6 @@
 //	tramlab -fig 9 -workerdiv 1 -itemdiv 1   # paper scale (heavy!)
 //	tramlab -fig 12 -csv             # machine-readable output
 //	tramlab -fig 3 -quiet            # suppress progress lines on stderr
-//	tramlab -bench-json BENCH_core.json      # emit the engine perf trajectory
-//	tramlab -serve-json BENCH_serve.json     # emit the tramserve throughput +
-//	                                 # ack-latency-vs-offered-load trajectory
 //	tramlab -real                    # run kernels on the real goroutine runtime
 //	                                 # and print simulated-vs-measured tables
 //	tramlab -backend dist            # run kernels across real OS processes
@@ -29,12 +28,12 @@
 //
 // Experiment points within a figure are independent simulations; -j N runs
 // them on a deterministic worker pool (tables are byte-identical for every
-// N). -bench-json measures host-side engine performance (events/sec,
-// allocs/event, harness scaling) and writes it as JSON for perf tracking.
+// N). tramlab measures nothing for perf tracking: wall-clock columns in the
+// -real, -backend dist and -adaptive tables are illustrative, and the repo's
+// one perf instrument is benchmark/run.sh (see docs/PERF.md).
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -46,6 +45,7 @@ import (
 	"time"
 
 	"tramlib/internal/bench"
+	"tramlib/internal/stats"
 	"tramlib/tram"
 )
 
@@ -65,8 +65,6 @@ func main() {
 		jobs      = flag.Int("j", runtime.NumCPU(), "experiment points to run concurrently (results identical for any value)")
 		csv       = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		quiet     = flag.Bool("quiet", false, "suppress progress output on stderr")
-		benchJSON = flag.String("bench-json", "", "measure engine perf (events/sec, allocs/event, harness scaling) and write JSON to this file ('-' for stdout)")
-		serveJSON = flag.String("serve-json", "", "measure the tramserve subsystem (sustained throughput, p99 ack latency vs offered load, the 100k-client scale point) and write JSON to this file ('-' for stdout)")
 		adaptive  = flag.Bool("adaptive", false, "run the static-vs-adaptive aggregation latency sweep (uniform/zipf/burst traffic) and print the comparison table")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 		memProf   = flag.String("memprofile", "", "write a heap profile at exit to this file (go tool pprof)")
@@ -135,13 +133,8 @@ func main() {
 	}
 
 	if *list {
-		seen := map[string]bool{}
 		for _, f := range bench.Figures() {
-			if seen[f.Title] {
-				continue
-			}
-			seen[f.Title] = true
-			fmt.Printf("  %-3s %s\n", f.ID, f.Title)
+			fmt.Printf("  %-3s %s\n", f.IDs[0], f.Title)
 		}
 		names := make([]string, 0, len(tram.Schemes()))
 		for _, s := range tram.Schemes() {
@@ -166,123 +159,59 @@ func main() {
 	}
 	opts.Progress = progress
 
-	if *benchJSON != "" {
-		perf := bench.CorePerf(opts)
-		out, err := json.MarshalIndent(perf, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tramlab:", err)
-			os.Exit(1)
-		}
-		out = append(out, '\n')
-		if *benchJSON == "-" {
-			os.Stdout.Write(out)
-		} else if err := os.WriteFile(*benchJSON, out, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "tramlab:", err)
-			os.Exit(1)
-		}
-		if !*all && *fig == "" && !*real && *serveJSON == "" {
-			return
+	print := func(tables []*stats.Table) {
+		for _, tb := range tables {
+			if *csv {
+				fmt.Print(tb.CSV())
+			} else {
+				fmt.Println(tb.String())
+			}
 		}
 	}
 
-	if *serveJSON != "" {
-		perf := bench.ServeCurve(opts)
-		out, err := json.MarshalIndent(perf, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tramlab:", err)
-			os.Exit(1)
-		}
-		out = append(out, '\n')
-		if *serveJSON == "-" {
-			os.Stdout.Write(out)
-		} else if err := os.WriteFile(*serveJSON, out, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "tramlab:", err)
-			os.Exit(1)
-		}
-		if !*all && *fig == "" && !*real && *backend != "dist" {
-			return
-		}
-	}
-
+	// The comparison-table modes compose with each other and with figures;
+	// on their own they are a complete invocation.
+	tablesOnly := false
 	if *adaptive {
-		for _, tb := range bench.AdaptiveTables(opts) {
-			if *csv {
-				fmt.Print(tb.CSV())
-			} else {
-				fmt.Println(tb.String())
-			}
-		}
-		if !*all && *fig == "" && !*real && *backend != "dist" {
-			return
-		}
+		print(bench.AdaptiveTables(opts))
+		tablesOnly = true
 	}
-
 	if *real {
-		tables := bench.RealTables(opts)
-		for _, tb := range tables {
-			if *csv {
-				fmt.Print(tb.CSV())
-			} else {
-				fmt.Println(tb.String())
-			}
-		}
-		if !*all && *fig == "" && *backend != "dist" {
-			return
-		}
+		print(bench.RealTables(opts))
+		tablesOnly = true
 	}
-
 	if *backend == "dist" {
-		tables := bench.DistTables(opts)
-		for _, tb := range tables {
-			if *csv {
-				fmt.Print(tb.CSV())
-			} else {
-				fmt.Println(tb.String())
-			}
-		}
-		if !*all && *fig == "" {
-			return
-		}
+		print(bench.DistTables(opts))
+		tablesOnly = true
 	}
 
-	var ids []string
+	var figs []bench.Figure
 	switch {
 	case *all:
-		seen := map[string]bool{}
-		for _, f := range bench.Figures() {
-			if seen[f.Title] {
-				continue
-			}
-			seen[f.Title] = true
-			ids = append(ids, f.ID)
-		}
+		figs = bench.Figures()
 	case *fig != "":
-		for _, id := range strings.Split(*fig, ",") {
-			ids = append(ids, strings.TrimSpace(id))
+		ids := strings.Split(*fig, ",")
+		for i := range ids {
+			ids[i] = strings.TrimSpace(ids[i])
 		}
+		var unknown string
+		if figs, unknown = bench.Select(ids); unknown != "" {
+			fmt.Fprintf(os.Stderr, "tramlab: unknown figure %q (try -list)\n", unknown)
+			os.Exit(2)
+		}
+	case tablesOnly:
 	default:
-		fmt.Fprintln(os.Stderr, "tramlab: pass -fig <id>, -all, -real, -backend dist, or -list")
+		fmt.Fprintln(os.Stderr, "tramlab: pass -fig <id>, -all, -real, -backend dist, -adaptive, or -list")
 		flag.Usage()
 		os.Exit(2)
 	}
 
-	for _, id := range ids {
-		f, ok := bench.Lookup(id)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "tramlab: unknown figure %q (try -list)\n", id)
-			os.Exit(2)
-		}
+	for _, f := range figs {
 		start := time.Now()
 		tables := f.Run(opts)
 		if progress != nil {
-			fmt.Fprintf(progress, "fig %s finished in %v\n", id, time.Since(start).Round(time.Millisecond))
+			fmt.Fprintf(progress, "fig %s finished in %v\n", strings.Join(f.IDs, "/"), time.Since(start).Round(time.Millisecond))
 		}
-		for _, tb := range tables {
-			if *csv {
-				fmt.Print(tb.CSV())
-			} else {
-				fmt.Println(tb.String())
-			}
-		}
+		print(tables)
 	}
 }

@@ -65,13 +65,12 @@
 //
 // See README.md for the quickstart (mirrored as the godoc Example in
 // tram/example_test.go), cmd/tramlab usage (including the -j parallel
-// harness and -bench-json perf trajectory), and the hot-path pooling
-// invariants; BENCH_core.json is the committed engine perf trajectory, gated
-// in CI by cmd/perfcheck — including the tram-wrapper vs core-direct points
-// proving the public API adds zero allocations over the internal hot path,
-// and the dist-histogram / dist-shm-histogram / dist-tcp-histogram points
-// bounding the multi-process coordinator's per-item overhead under each
-// transport. ARCHITECTURE.md draws the layer diagram and names the
+// harness), and the hot-path pooling invariants. Performance is measured by
+// one instrument, benchmark/run.sh against BENCHMARK.json (docs/PERF.md);
+// that the public API adds zero allocations over the internal hot path is a
+// tier-1 test, tram's TestWrapperAllocParityWithCore, and the simulator
+// engine's allocation-free event churn is internal/sim's
+// TestEngineChurnAllocs. ARCHITECTURE.md draws the layer diagram and names the
 // invariants each seam carries; docs/DEPLOY.md covers multi-machine
 // deployment (host files, SSH, ports, sizing) and the failure model.
 package tramlib

@@ -16,12 +16,12 @@ import (
 // Config.Adaptive) against the static flush policy it generalizes. The
 // workload is a delivery-latency probe: paced generator workers timestamp
 // each item at insert, the sink workers' deliver hook observes
-// now - timestamp, and the point reports the resulting quantiles alongside
-// throughput and allocation columns. Three traffic shapes bracket the
+// now - timestamp, and the table reports the resulting quantiles alongside
+// the controller's visible activity. Three traffic shapes bracket the
 // tradeoff:
 //
 //   - uniform: every sink fills at the same rate — the shape static config
-//     is tuned for, so adaptive must only match it (parity gate).
+//     is tuned for, so adaptive must only match it.
 //   - zipf: a hot head fills buffers quickly while tail sinks' items sit
 //     out the full static deadline; the controller should contract the cold
 //     routes' deadlines and seal targets, cutting the latency tail.
@@ -118,36 +118,8 @@ func adaptiveRun(o Options, shape traffic.Spec, adaptive bool) (rt.Result, *stat
 	return res, stats.FromState(hist.State())
 }
 
-// adaptivePerf measures the six adaptive-{shape}-{static,adaptive} points
-// for BENCH_core.json. cmd/perfcheck gates their throughput and alloc
-// columns under the dedicated -adaptive-tol (paced wall-clock runs are
-// noisier than the simulator points); the latency quantiles ride along as
-// p50_ns/p99_ns for the trajectory.
-func adaptivePerf(o Options) []PerfPoint {
-	var pts []PerfPoint
-	for _, sh := range adaptiveShapes {
-		for _, mode := range []struct {
-			name string
-			on   bool
-		}{{"static", false}, {"adaptive", true}} {
-			var lat *stats.Hist
-			p := measure(fmt.Sprintf("adaptive-%s-%s", sh.name, mode.name), func() (uint64, float64) {
-				res, h := adaptiveRun(o, sh.spec, mode.on)
-				lat = h
-				return uint64(res.Delivered), 0
-			})
-			if lat != nil && lat.Count() > 0 {
-				p.P50NS = lat.Quantile(0.50)
-				p.P99NS = lat.Quantile(0.99)
-			}
-			pts = append(pts, p)
-		}
-	}
-	return pts
-}
-
-// AdaptiveTables renders the same static-vs-adaptive sweep as an aligned
-// table (cmd/tramlab -adaptive): per shape and mode, the delivery-latency
+// AdaptiveTables renders the static-vs-adaptive sweep as an aligned table
+// (cmd/tramlab -adaptive): per shape and mode, the delivery-latency
 // quantiles plus the controller's visible activity — batch counts, items
 // shipped through the Direct fast path, and path-switch transitions.
 func AdaptiveTables(o Options) []*stats.Table {

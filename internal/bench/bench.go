@@ -15,13 +15,14 @@
 // Buffer sizes g are NOT scaled. Dividing z and workers-per-node by the same
 // factor preserves items-per-destination (z / (nodes · workersPerNode)), so
 // the fill-vs-flush crossovers of Figs. 9–11 land on the same node counts as
-// the paper. The default (WorkerDiv=4, ItemDiv=4) runs every figure on a
-// laptop-class host; WorkerDiv=1, ItemDiv=1 is paper scale.
+// the paper. cmd/tramlab's default (-workerdiv 4 -itemdiv 4) runs every
+// figure on a laptop-class host; WorkerDiv=1, ItemDiv=1 is paper scale.
 package bench
 
 import (
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"tramlib/internal/apps/histogram"
@@ -62,11 +63,6 @@ type Options struct {
 	// "tcp". The dist histogram table always compares all three side by
 	// side.
 	DistTransport string
-}
-
-// Default returns laptop-scale options.
-func Default() Options {
-	return Options{WorkerDiv: 4, ItemDiv: 4, Seed: 1}
 }
 
 func (o Options) normalized() Options {
@@ -533,42 +529,54 @@ func Fig18(o Options) []*stats.Table {
 	return []*stats.Table{tb}
 }
 
-// Figure describes one reproducible experiment.
+// Figure describes one reproducible experiment: one runner, and every paper
+// figure number it reproduces (paired figures share a runner and print both
+// tables). IDs[0] is the id listings show.
 type Figure struct {
-	ID    string
+	IDs   []string
 	Title string
 	Run   func(Options) []*stats.Table
 }
 
-// Figures returns every experiment in paper order.
+// Figures returns every experiment in paper order, one entry per runner.
 func Figures() []Figure {
 	return []Figure{
-		{"1", "Ping-pong RTT/2 vs message size", Fig1},
-		{"3", "PingAck: SMP process counts vs non-SMP", Fig3},
-		{"8", "Histogram 1M: WPs ppn sweep vs non-SMP", Fig8},
-		{"9", "Histogram 1M: weak scaling across schemes", Fig9},
-		{"10", "Histogram 1M: buffer-size sweep at 8 nodes", Fig10},
-		{"11", "Histogram 128K: flush-dominated regime", Fig11},
-		{"12", "Index-gather: latency and total time", Fig12and13},
-		{"13", "Index-gather: latency and total time", Fig12and13},
-		{"14", "SSSP small: time and wasted updates", Fig14and15},
-		{"15", "SSSP small: time and wasted updates", Fig14and15},
-		{"16", "SSSP large: time and wasted updates", Fig16and17},
-		{"17", "SSSP large: time and wasted updates", Fig16and17},
-		{"18", "PHOLD: rejected updates", Fig18},
-		{"a1", "Comm-thread saturation vs per-message work", FigA1},
+		{[]string{"1"}, "Ping-pong RTT/2 vs message size", Fig1},
+		{[]string{"3"}, "PingAck: SMP process counts vs non-SMP", Fig3},
+		{[]string{"8"}, "Histogram 1M: WPs ppn sweep vs non-SMP", Fig8},
+		{[]string{"9"}, "Histogram 1M: weak scaling across schemes", Fig9},
+		{[]string{"10"}, "Histogram 1M: buffer-size sweep at 8 nodes", Fig10},
+		{[]string{"11"}, "Histogram 128K: flush-dominated regime", Fig11},
+		{[]string{"12", "13"}, "Index-gather: latency and total time", Fig12and13},
+		{[]string{"14", "15"}, "SSSP small: time and wasted updates", Fig14and15},
+		{[]string{"16", "17"}, "SSSP large: time and wasted updates", Fig16and17},
+		{[]string{"18"}, "PHOLD: rejected updates", Fig18},
+		{[]string{"a1"}, "Comm-thread saturation vs per-message work", FigA1},
 	}
 }
 
-// Name formats a parameterized sub-benchmark name like "g512".
-func Name(prefix string, v int) string { return fmt.Sprintf("%s%d", prefix, v) }
-
-// Lookup returns the figure with the given id.
+// Lookup returns the figure one of whose ids is id.
 func Lookup(id string) (Figure, bool) {
 	for _, f := range Figures() {
-		if f.ID == id {
+		if slices.Contains(f.IDs, id) {
 			return f, true
 		}
 	}
 	return Figure{}, false
+}
+
+// Select resolves a list of figure ids to runners in the order given,
+// keeping one entry per runner however many of its ids were named. It
+// returns the first unknown id, if any.
+func Select(ids []string) (figs []Figure, unknown string) {
+	for _, id := range ids {
+		f, ok := Lookup(id)
+		if !ok {
+			return nil, id
+		}
+		if !slices.ContainsFunc(figs, func(g Figure) bool { return g.IDs[0] == f.IDs[0] }) {
+			figs = append(figs, f)
+		}
+	}
+	return figs, ""
 }

@@ -1,10 +1,19 @@
 package bench
 
 import (
+	"os"
 	"strconv"
 	"strings"
 	"testing"
+
+	"tramlib/internal/stats"
+	"tramlib/tram"
 )
+
+func TestMain(m *testing.M) {
+	tram.Main() // dist worker processes (DistTables) run their share here and exit
+	os.Exit(m.Run())
+}
 
 // tiny returns options small enough for unit testing every figure runner.
 func tiny() Options {
@@ -66,6 +75,29 @@ func TestLookup(t *testing.T) {
 	if _, ok := Lookup("99"); ok {
 		t.Error("bogus figure found")
 	}
+	// A paired figure is one runner reachable under either id.
+	if f, _ := Lookup("13"); len(f.IDs) != 2 || f.IDs[0] != "12" || f.IDs[1] != "13" {
+		t.Errorf("Lookup(13).IDs = %v, want [12 13]", f.IDs)
+	}
+
+	ids := func(figs []Figure) string {
+		var s []string
+		for _, f := range figs {
+			s = append(s, f.IDs[0])
+		}
+		return strings.Join(s, ",")
+	}
+	// Naming both ids of a pair resolves to one runner, so its tables print
+	// once; order follows the request.
+	if figs, unknown := Select([]string{"12", "13"}); unknown != "" || ids(figs) != "12" {
+		t.Errorf("Select(12,13) = %s (unknown %q), want one runner", ids(figs), unknown)
+	}
+	if figs, _ := Select([]string{"17", "9", "16", "9"}); ids(figs) != "16,9" {
+		t.Errorf("Select(17,9,16,9) = %s, want 16,9", ids(figs))
+	}
+	if figs, unknown := Select([]string{"9", "99"}); figs != nil || unknown != "99" {
+		t.Errorf("Select(9,99) = %s, unknown %q", ids(figs), unknown)
+	}
 }
 
 // TestEveryFigureRunsTiny executes each figure runner end-to-end at a tiny
@@ -75,14 +107,8 @@ func TestEveryFigureRunsTiny(t *testing.T) {
 		t.Skip("tiny figures still take seconds")
 	}
 	o := tiny()
-	seen := map[string]bool{}
 	for _, f := range Figures() {
-		if seen[f.Title] {
-			continue
-		}
-		seen[f.Title] = true
-		f := f
-		t.Run("fig"+f.ID, func(t *testing.T) {
+		t.Run("fig"+f.IDs[0], func(t *testing.T) {
 			tables := f.Run(o)
 			if len(tables) == 0 {
 				t.Fatal("no tables")
@@ -115,8 +141,60 @@ func TestEveryFigureRunsTiny(t *testing.T) {
 	}
 }
 
-func TestName(t *testing.T) {
-	if Name("g", 512) != "g512" {
-		t.Fatal(Name("g", 512))
+// checkTables asserts what every comparison table promises: rows exist and
+// every correctness column (*_ok) reads "yes".
+func checkTables(t *testing.T, tables []*stats.Table) {
+	t.Helper()
+	if len(tables) == 0 {
+		t.Fatal("no tables")
 	}
+	for _, tb := range tables {
+		if len(tb.Rows()) == 0 {
+			t.Errorf("table %q has no rows", tb.Title)
+		}
+		for c, col := range tb.Columns {
+			if !strings.HasSuffix(col, "_ok") {
+				continue
+			}
+			for _, row := range tb.Rows() {
+				if row[c] != "yes" {
+					t.Errorf("table %q row %q: %s = %q, want yes", tb.Title, row[0], col, row[c])
+				}
+			}
+		}
+	}
+}
+
+// TestComparisonTablesTiny runs what cmd/tramlab's -real, -backend dist and
+// -adaptive modes run, at a tiny scale, and holds their correctness columns:
+// exactly-once delivery on the goroutine runtime, element-wise identical
+// tables across real OS processes on every transport, and every paced event
+// delivered under both flush policies.
+func TestComparisonTablesTiny(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns worker processes and paces wall-clock traffic")
+	}
+	o := Options{ItemDiv: 256, Seed: 1}
+	t.Run("real", func(t *testing.T) { checkTables(t, RealTables(o)) })
+	for _, tr := range []string{"socket", "shm"} {
+		t.Run("dist-"+tr, func(t *testing.T) {
+			o := o
+			o.DistTransport = tr
+			checkTables(t, DistTables(o))
+		})
+	}
+	t.Run("adaptive", func(t *testing.T) {
+		tables := AdaptiveTables(o)
+		checkTables(t, tables)
+		rows := tables[0].Rows()
+		if len(rows) != 2*len(adaptiveShapes) {
+			t.Fatalf("%d rows, want %d", len(rows), 2*len(adaptiveShapes))
+		}
+		want := strconv.Itoa(adaptiveGens * adaptiveSteps)
+		for _, row := range rows {
+			if row[2] != want { // "delivered"
+				t.Errorf("adaptive %s/%s delivered %s of %s events", row[0], row[1], row[2], want)
+			}
+		}
+	})
 }

@@ -26,7 +26,7 @@ func TestHarnessJobsDeterminism(t *testing.T) {
 	o := tiny()
 	for _, f := range []Figure{mustLookup(t, "9"), mustLookup(t, "11"), mustLookup(t, "18")} {
 		f := f
-		t.Run("fig"+f.ID, func(t *testing.T) {
+		t.Run("fig"+f.IDs[0], func(t *testing.T) {
 			seq := o
 			seq.Jobs = 1
 			par := o
@@ -35,7 +35,7 @@ func TestHarnessJobsDeterminism(t *testing.T) {
 			b := render(f.Run(par))
 			if a != b {
 				t.Fatalf("fig %s output differs between -j 1 and -j %d:\n%s\nvs\n%s",
-					f.ID, par.Jobs, a, b)
+					f.IDs[0], par.Jobs, a, b)
 			}
 		})
 	}

@@ -7,8 +7,8 @@
 //     buffers — no synchronization), and a multi-producer claim/seal buffer
 //     for PP, where all workers of a process contribute to one buffer per
 //     destination through an atomic slot counter.
-//  2. It carries the real workloads of internal/rt and internal/live — and,
-//     through internal/rt's partitioned mode, the intra-process traffic of
+//  2. It carries the real workloads of internal/rt — and, through
+//     internal/rt's partitioned mode, the intra-process traffic of
 //     the multi-process Dist backend (internal/dist), where these buffers
 //     are the cheap shared-memory half of the paper's intra- vs inter-process
 //     distinction. Its contention benchmarks measure what the PP atomics

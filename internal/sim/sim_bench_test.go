@@ -110,6 +110,36 @@ func BenchmarkEngineChurn(b *testing.B) {
 	e.Run()
 }
 
+// TestEngineChurnAllocs holds the arena engine's reason to exist: on the
+// churn workload it allocates only to grow its arena and heap, never per
+// event. Measured: 44 mallocs over 2^18 events, 0.00017 per event.
+func TestEngineChurnAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("schedules 2^18 events twice")
+	}
+	const n = 1 << 18
+	times := churnTimes(n)
+	fn := func() {}
+	allocs := testing.AllocsPerRun(1, func() {
+		e := NewEngine()
+		for i := 0; i < n; i++ {
+			e.After(times[i], fn)
+			if e.Pending() >= churnWindow {
+				e.Run()
+			}
+		}
+		e.Run()
+		if e.Processed() != n {
+			t.Fatalf("processed %d of %d events", e.Processed(), n)
+		}
+	})
+	perEvent := allocs / n
+	t.Logf("%v mallocs over %d events = %.5f per event", allocs, n, perEvent)
+	if perEvent >= 0.001 {
+		t.Fatal("engine churn allocates per event, want < 0.001")
+	}
+}
+
 // BenchmarkEngineChurnBoxedBaseline is the seed (container/heap) engine on
 // the identical workload.
 func BenchmarkEngineChurnBoxedBaseline(b *testing.B) {

@@ -61,8 +61,9 @@
 // Encode/Decode pack items into machine words, contexts are pooled
 // per-worker, and inserting through the public API is allocation-free in
 // steady state — the same pooling discipline internal/core and internal/rt
-// maintain. BENCH_core.json's tram-wrapper point gates this in CI against
-// the core-direct point (cmd/perfcheck).
+// maintain. TestWrapperAllocParityWithCore holds it: the same insert stream
+// through Lib[uint64] on Sim and against internal/core directly must cost
+// the same mallocs per simulator event.
 package tram
 
 import (
