@@ -84,12 +84,19 @@ tier_examples() {
 }
 
 # Determinism as a gate: the same fixed-seed figure sweep at two harness
-# widths must produce byte-identical tables.
+# widths must produce byte-identical tables, and the tiny-scale tables must
+# equal the committed ones (the file TestFiguresMatchGolden compares against,
+# keyed by GOARCH there for the same reason as here).
 tier_golden_figure() {
   go build -o tramlab ./cmd/tramlab
   ./tramlab -fig 3,9,11 -workerdiv 8 -itemdiv 8 -nodes 8 -seed 7 -quiet -j 1 > golden_j1.txt
   ./tramlab -fig 3,9,11 -workerdiv 8 -itemdiv 8 -nodes 8 -seed 7 -quiet -j 4 > golden_j4.txt
   diff -u golden_j1.txt golden_j4.txt
+  golden=internal/bench/testdata/figures_tiny.golden
+  arch=$(go env GOARCH)
+  [ "$arch" = amd64 ] || golden=internal/bench/testdata/figures_tiny_$arch.golden
+  ./tramlab -fig 3,9,11,12,18 -workerdiv 16 -itemdiv 256 -nodes 4 -seed 1 -quiet > golden_tiny.txt
+  diff -u "$golden" golden_tiny.txt
 }
 
 # tramserve end to end: the serve packages and the public tram.Serve surface

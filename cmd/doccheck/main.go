@@ -18,6 +18,10 @@
 //     declared in internal/faultinject.
 //   - Transport kind strings quoted as `Transport: "..."` must appear in
 //     tram/config.go.
+//   - Backticked option paths (`Config.X`, `Dist.X`, `Adaptive.X`, `Serve.X`,
+//     chained as in `Config.Dist.Hosts`) and the first column of a knob table
+//     must name a field (or method) of tram.Config, tram.DistOptions,
+//     rt.Adaptive or tram.ServeOptions, read from the source with go/parser.
 //   - The README's CI section must bold-list every job id declared in
 //     .github/workflows/ci.yml, and its spelled-out job count must match.
 //
@@ -32,6 +36,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -49,6 +56,9 @@ var (
 	rootRe  = regexp.MustCompile(`^[\w.-]+\.(?:json|sh|md)$`)
 	faultRe = regexp.MustCompile(`^([a-z][a-z0-9.-]*):(?:crash|stall|drop|error)\b`)
 	kindRe  = regexp.MustCompile(`^Transport: ("(?:\w+)")$`)
+	optRe   = regexp.MustCompile(`^(?:tram\.)?((?:Config|Dist|Adaptive|Serve)(?:\.[A-Z]\w*)+)`)
+	knobRe  = regexp.MustCompile("(?m)^\\|\\s*Knob\\s*\\|.*\n\\|[-| :]+\\|\n((?:\\|.*\n?)+)")
+	cellRe  = regexp.MustCompile("(?m)^\\|\\s*`(\\w+)`")
 	jobRe   = regexp.MustCompile(`^  ([A-Za-z0-9_-]+):\s*$`)
 	strRe   = regexp.MustCompile(`"([a-z][a-z0-9.-]*)"`)
 	countRe = regexp.MustCompile(`runs ([a-z]+) jobs`)
@@ -61,10 +71,23 @@ var numberWords = map[string]int{
 	"seven": 7, "eight": 8, "nine": 9, "ten": 10, "eleven": 11, "twelve": 12,
 }
 
+// optionStructs maps the name the docs use for an option block — also the
+// name of the tram.Config field holding it — to the struct that declares its
+// knobs, as "directory.Type".
+var optionStructs = map[string]string{
+	"Config":   "tram.Config",
+	"Dist":     "tram.DistOptions",
+	"Adaptive": "internal/rt.Adaptive",
+	"Serve":    "tram.ServeOptions",
+}
+
 type checker struct {
 	root     string
 	problems []string
 	checked  int
+	// members caches, per optionStructs value, the struct's field and method
+	// names (nil if the struct was not found).
+	members map[string]map[string]bool
 }
 
 func (c *checker) failf(format string, args ...any) {
@@ -129,6 +152,9 @@ func (c *checker) checkLinks(doc, text string) {
 func (c *checker) checkTokens(doc, text, tramSrc, configSrc string, faultPoints map[string]bool) {
 	for _, m := range tickRe.FindAllStringSubmatch(text, -1) {
 		tok := m[1]
+		if opt := optRe.FindStringSubmatch(tok); opt != nil {
+			c.checkOptionPath(doc, tok, opt[1])
+		}
 		switch {
 		case tramRe.MatchString(tok):
 			name := tramRe.FindStringSubmatch(tok)[1]
@@ -157,6 +183,97 @@ func (c *checker) checkTokens(doc, text, tramSrc, configSrc string, faultPoints 
 			c.checked++
 			if !c.exists(rel) {
 				c.failf("%s: `%s` references %s, which does not exist", doc, tok, rel)
+			}
+		}
+	}
+}
+
+// membersOf returns the field and method names of the struct spec names
+// ("directory.Type"), parsed from the non-test sources of its directory.
+func (c *checker) membersOf(spec string) map[string]bool {
+	if m, ok := c.members[spec]; ok {
+		return m
+	}
+	dot := strings.LastIndexByte(spec, '.')
+	dir, typ := spec[:dot], spec[dot+1:]
+	var found map[string]bool
+	pkgs, err := parser.ParseDir(token.NewFileSet(), filepath.Join(c.root, dir), func(fi os.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, parser.SkipObjectResolution)
+	if err != nil && !os.IsNotExist(err) {
+		c.failf("%s: %v", dir, err)
+	}
+	members := map[string]bool{}
+	for _, pkg := range pkgs {
+		for _, file := range pkg.Files {
+			for _, decl := range file.Decls {
+				switch d := decl.(type) {
+				case *ast.FuncDecl:
+					if d.Recv != nil && len(d.Recv.List) == 1 {
+						recv := d.Recv.List[0].Type
+						if star, ok := recv.(*ast.StarExpr); ok {
+							recv = star.X
+						}
+						if id, ok := recv.(*ast.Ident); ok && id.Name == typ {
+							members[d.Name.Name] = true
+						}
+					}
+				case *ast.GenDecl:
+					for _, sp := range d.Specs {
+						ts, ok := sp.(*ast.TypeSpec)
+						if !ok || ts.Name.Name != typ {
+							continue
+						}
+						if st, ok := ts.Type.(*ast.StructType); ok {
+							found = members
+							for _, f := range st.Fields.List {
+								for _, name := range f.Names {
+									members[name.Name] = true
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if c.members == nil {
+		c.members = map[string]map[string]bool{}
+	}
+	c.members[spec] = found
+	return found
+}
+
+// checkOptionPath walks a dotted option path such as Config.Dist.Hosts: each
+// segment must be a member of the struct the previous one names.
+func (c *checker) checkOptionPath(doc, tok, path string) {
+	segs := strings.Split(path, ".")
+	for i := 1; i < len(segs); i++ {
+		spec, ok := optionStructs[segs[i-1]]
+		if !ok {
+			return // past the option blocks (a field of a field): not ours to judge
+		}
+		c.checked++
+		if !c.membersOf(spec)[segs[i]] {
+			c.failf("%s: `%s` is a stale config field: %s has no field %s", doc, tok, spec, segs[i])
+			return
+		}
+	}
+}
+
+// checkKnobTables holds the first column of every knob table (a markdown table
+// whose first header cell is "Knob") to the option structs: each backticked
+// name must be a field of one of them.
+func (c *checker) checkKnobTables(doc, text string) {
+	for _, tbl := range knobRe.FindAllStringSubmatch(text, -1) {
+		for _, cell := range cellRe.FindAllStringSubmatch(tbl[1], -1) {
+			c.checked++
+			known := false
+			for _, spec := range optionStructs {
+				known = known || c.membersOf(spec)[cell[1]]
+			}
+			if !known {
+				c.failf("%s: knob table row `%s` is a stale config field: no option struct declares it", doc, cell[1])
 			}
 		}
 	}
@@ -250,6 +367,7 @@ func run(root string) *checker {
 		}
 		c.checkLinks(doc, text)
 		c.checkTokens(doc, text, tramSrc, string(configSrc), faultPoints)
+		c.checkKnobTables(doc, text)
 	}
 	if readme != "" {
 		c.checkCIJobs(readme)

@@ -26,13 +26,13 @@ func writeTree(t *testing.T, files map[string]string) string {
 // greenTree is a minimal repository every check passes on.
 func greenTree() map[string]string {
 	return map[string]string{
-		"tram/config.go":                      "package tram\n\nconst TransportTCP = \"tcp\"\n\ntype Config struct{}\n",
+		"tram/config.go":                      "package tram\n\nconst TransportTCP = \"tcp\"\n\ntype Config struct {\n\tBufferItems int\n\tDist DistOptions\n}\n\nfunc (c Config) Validate() error { return nil }\n\ntype DistOptions struct{ Hosts []string }\n",
 		"internal/faultinject/faultinject.go": "package faultinject\n\nconst PointTCPWrite = \"transport.tcp-write\"\n",
 		".github/workflows/ci.yml":            "name: ci\njobs:\n  test:\n    runs-on: x\n  docs:\n    runs-on: x\n",
 		"ARCHITECTURE.md":                     "# Arch\n\nSee [README.md](README.md). The `tram.Config` type.\n",
 		"docs/DEPLOY.md":                      "# Deploy\n\nUse `transport.tcp-write:drop:proc=1` and `Transport: \"tcp\"`.\nBack to [../ARCHITECTURE.md](../ARCHITECTURE.md).\n",
 		"docs/SERVE.md":                       "# Serve\n\nSee [DEPLOY.md](DEPLOY.md); the `tram.Config` type again.\n",
-		"docs/TUNING.md":                      "# Tuning\n\nKnobs live on `tram.Config`; see [SERVE.md](SERVE.md).\n",
+		"docs/TUNING.md":                      "# Tuning\n\nKnobs live on `tram.Config`; see [SERVE.md](SERVE.md). `Config.Validate` checks `Config.BufferItems` and `Config.Dist.Hosts`.\n\n| Knob | Meaning |\n|---|---|\n| `BufferItems` | g |\n| `Hosts` | machines |\n\nAfter the table.\n",
 		"docs/PERF.md":                        "# Perf\n\nRun `benchmark/run.sh`; workloads are named in `BENCHMARK.json`.\n",
 		"benchmark/run.sh":                    "#!/bin/sh\n",
 		"BENCHMARK.json":                      "{}\n",
@@ -100,6 +100,27 @@ func TestDriftIsCaught(t *testing.T) {
 				f["docs/PERF.md"] = strings.Replace(f["docs/PERF.md"], "`BENCHMARK.json`", "`BENCH_gone.json`", 1)
 			},
 			want: "`BENCH_gone.json` references BENCH_gone.json, which does not exist",
+		},
+		{
+			name: "stale config field",
+			mutate: func(f map[string]string) {
+				f["docs/TUNING.md"] = strings.Replace(f["docs/TUNING.md"], "`Config.BufferItems`", "`Config.BufferLocal`", 1)
+			},
+			want: "`Config.BufferLocal` is a stale config field: tram.Config has no field BufferLocal",
+		},
+		{
+			name: "stale config field in an option block",
+			mutate: func(f map[string]string) {
+				f["docs/TUNING.md"] = strings.Replace(f["docs/TUNING.md"], "`Config.Dist.Hosts`", "`Config.Dist.Machines`", 1)
+			},
+			want: "stale config field: tram.DistOptions has no field Machines",
+		},
+		{
+			name: "stale config field in a knob table",
+			mutate: func(f map[string]string) {
+				f["docs/TUNING.md"] = strings.Replace(f["docs/TUNING.md"], "| `BufferItems` | g |", "| `BufferLocal` | g |", 1)
+			},
+			want: "knob table row `BufferLocal` is a stale config field",
 		},
 		{
 			name: "CI job not listed",

@@ -125,7 +125,7 @@ func main() {
 			m.Delivered, m.Inserted, m.Reduced)
 		meanBatch := 0.0
 		if m.Batches > 0 {
-			meanBatch = float64(m.Delivered-m.LocalDirect) / float64(m.Batches)
+			meanBatch = float64(m.Delivered-m.SelfItems-m.LocalDirect) / float64(m.Batches)
 		}
 		fmt.Printf("      %d aggregated batches vs %d unaggregated sends (%.1f items/batch)\n",
 			m.Batches, m.Inserted, meanBatch)

@@ -296,7 +296,8 @@ func Fig8(o Options) []*stats.Table {
 
 // Fig9 reproduces Fig. 9: histogram weak scaling across schemes. Paper shape:
 // WPs scales to 64 nodes; WsP close (source-sort overhead); PP close (atomics
-// overhead); WW stops scaling once z/(N·t) < g (flush-dominated).
+// overhead); WW stops scaling once z/(N·t) < g (flush-dominated) — asserted
+// by TestShapeFig9WWStopsScaling.
 func Fig9(o Options) []*stats.Table {
 	o = o.normalized()
 	z := o.items(1 << 20)
@@ -355,7 +356,7 @@ func Fig10(o Options) []*stats.Table {
 
 // Fig11 reproduces Fig. 11: histogram with few updates (128K/PE at paper
 // scale), where flush costs dominate. Paper shape: WW much worse from 8
-// nodes; WPs best; PP near WPs.
+// nodes; WPs best; PP near WPs — asserted by TestShapeFig11FlushDominated.
 func Fig11(o Options) []*stats.Table {
 	o = o.normalized()
 	z := o.items(128 << 10)
@@ -382,8 +383,9 @@ func Fig11(o Options) []*stats.Table {
 }
 
 // Fig12and13 reproduces Figs. 12–13: index-gather mean request latency and
-// total time. Paper shape: latency PP < WPs < WW; total time at 16 nodes
-// favours WW (sort/atomics overhead in WPs/PP).
+// total time. Paper shape: latency PP < WPs < WW (asserted by
+// TestShapeFig12LatencyOrdering); total time at 16 nodes favours WW
+// (sort/atomics overhead in WPs/PP).
 func Fig12and13(o Options) []*stats.Table {
 	o = o.normalized()
 	z := (8 << 20) / o.IGItemDiv

@@ -47,67 +47,6 @@ import (
 	"tramlib/internal/stats"
 )
 
-// Scheme selects the aggregation strategy.
-type Scheme uint8
-
-// The aggregation schemes of §III-B, plus the no-aggregation baseline.
-const (
-	Direct Scheme = iota
-	WW
-	WPs
-	WsP
-	PP
-)
-
-// String returns the paper's name for the scheme.
-func (s Scheme) String() string {
-	switch s {
-	case Direct:
-		return "Direct"
-	case WW:
-		return "WW"
-	case WPs:
-		return "WPs"
-	case WsP:
-		return "WsP"
-	case PP:
-		return "PP"
-	}
-	return fmt.Sprintf("Scheme(%d)", uint8(s))
-}
-
-// ParseScheme converts a scheme name (as printed by String) back to a Scheme.
-func ParseScheme(name string) (Scheme, error) {
-	switch name {
-	case "Direct", "direct", "none":
-		return Direct, nil
-	case "WW", "ww":
-		return WW, nil
-	case "WPs", "wps":
-		return WPs, nil
-	case "WsP", "wsp":
-		return WsP, nil
-	case "PP", "pp":
-		return PP, nil
-	}
-	return 0, fmt.Errorf("core: unknown scheme %q", name)
-}
-
-// AllSchemes lists every aggregating scheme in the order the paper's figures
-// use. It must contain exactly the aggregating subset of Schemes() — a test
-// enforces the lockstep, so adding a scheme to one list without the other
-// fails CI.
-var AllSchemes = []Scheme{WW, WPs, PP, WsP}
-
-// Schemes returns the canonical enumeration of every scheme, Direct first and
-// the aggregating schemes in declaration order. Scheme-sweep loops, CLI
-// listings, and the real-runtime tables all derive from this single list, so
-// adding a scheme is a one-place change. The returned slice is fresh; callers
-// may reslice it (Schemes()[1:] is the aggregating subset).
-func Schemes() []Scheme {
-	return []Scheme{Direct, WW, WPs, WsP, PP}
-}
-
 // DeliverFunc receives one item at its destination worker. ctx executes on
 // the destination PE; value is the item payload as passed to Insert.
 type DeliverFunc func(ctx *charm.Ctx, value uint64)
@@ -181,10 +120,6 @@ type Config struct {
 	// with partial messages every period. Explicit Flush calls and idle
 	// flushes are not capped.
 	FlushBurst int
-	// BufferLocal also aggregates items whose destination lives in the
-	// sender's own process. True for WW (the SMP-unaware scheme); the
-	// SMP-aware schemes deliver same-process items directly.
-	BufferLocal bool
 	// TrackLatency records per-item insert→delivery latency (Fig. 12).
 	TrackLatency bool
 	Costs        CostParams
@@ -192,7 +127,7 @@ type Config struct {
 
 // DefaultConfig returns the configuration the paper's main experiments use
 // for the given scheme: g=1024 (512 for WW in the small-update runs is set by
-// the experiment), 8-byte items, SMP-aware local delivery except for WW.
+// the experiment), 8-byte items.
 func DefaultConfig(s Scheme) Config {
 	return Config{
 		Scheme:         s,
@@ -200,7 +135,6 @@ func DefaultConfig(s Scheme) Config {
 		ItemBytes:      8,
 		WorkerTagBytes: 2,
 		MsgHeaderBytes: 64,
-		BufferLocal:    s == WW,
 		Costs:          DefaultCosts(),
 	}
 }
@@ -210,7 +144,7 @@ func (c Config) Validate() error {
 	if c.Scheme > PP {
 		return fmt.Errorf("core: invalid scheme %d", c.Scheme)
 	}
-	if c.Scheme != Direct && c.BufferItems <= 0 {
+	if c.Scheme.Plan().Buffered && c.BufferItems <= 0 {
 		return fmt.Errorf("core: BufferItems must be positive, got %d", c.BufferItems)
 	}
 	if c.ItemBytes <= 0 {
@@ -229,7 +163,8 @@ func (c Config) Validate() error {
 type Metrics struct {
 	Inserted      stats.Counter // items passed to Insert
 	Delivered     stats.Counter // items handed to the application
-	LocalDirect   stats.Counter // items delivered directly (same process, unbuffered)
+	SelfItems     stats.Counter // items addressed to their own sender, delivered inline
+	LocalDirect   stats.Counter // items delivered directly (same process, unbuffered; self items excluded)
 	RemoteMsgs    stats.Counter // aggregated messages crossing a process boundary
 	LocalMsgs     stats.Counter // aggregated/forward messages within a process
 	FullMsgs      stats.Counter // messages sent because a buffer filled
@@ -245,8 +180,9 @@ type Metrics struct {
 	curBuffered  int64
 	PeakBuffered stats.MaxGauge // max items resident in buffers at once
 
-	// PerSourceMsgs counts aggregated messages per source worker (WW, WPs,
-	// WsP) or per source process (PP); used to check the §III-C bounds.
+	// PerSourceMsgs counts aggregated messages per buffer owner (Plan.Owner:
+	// a source worker, or a source process when buffers are shared); used to
+	// check the §III-C bounds.
 	PerSourceMsgs []int64
 }
 
@@ -304,17 +240,10 @@ type buffer struct {
 
 func (b *buffer) len() int { return len(b.payloads) }
 
-// endpoint is the per-worker TramLib state.
+// endpoint is the per-worker flush-timer state.
 type endpoint struct {
-	worker      cluster.WorkerID
-	bufs        []buffer // WW: per dest worker; WPs/WsP: per dest process
 	timerArmed  bool
 	burstCursor int // round-robin position for bounded timeout flushes
-}
-
-// procState is the per-process shared state (PP scheme).
-type procState struct {
-	bufs []buffer // per destination process
 }
 
 // Lib is one TramLib instance spanning the whole simulated cluster (one
@@ -324,8 +253,14 @@ type Lib struct {
 	cfg     Config
 	deliver DeliverFunc
 
-	eps   []*endpoint
-	procs []*procState
+	// plan is the scheme's row of the §III-B table, read once in New; bufs is
+	// the buffer table it lays out, bufs[Plan.Owner][Plan.Route], and
+	// insertCost what one buffered insert charges (§III-C: a private append,
+	// or an atomic claim contended by the process's other workers).
+	plan       Plan
+	bufs       [][]buffer
+	insertCost sim.Time
+	eps        []endpoint
 
 	hPacket charm.HandlerID
 	hTimer  charm.HandlerID
@@ -334,9 +269,9 @@ type Lib struct {
 	// single-threaded, so plain slices suffice; they grow to the peak number
 	// of in-flight packets and then scheduling is allocation-free.
 	pktPool     []*packet
-	payloadPool [][]uint64
-	bornPool    [][]sim.Time
-	destsPool   [][]cluster.WorkerID
+	payloadPool arrayPool[uint64]
+	bornPool    arrayPool[sim.Time]
+	destsPool   arrayPool[cluster.WorkerID]
 	groupCounts []int32 // counting-sort scratch (groupPacket)
 	groupCursor []int32
 
@@ -351,32 +286,24 @@ func New(rt *charm.Runtime, cfg Config, deliver DeliverFunc) *Lib {
 		panic(err)
 	}
 	topo := rt.Topo
-	l := &Lib{rt: rt, cfg: cfg, deliver: deliver}
+	plan := cfg.Scheme.Plan()
+	l := &Lib{rt: rt, cfg: cfg, deliver: deliver, plan: plan, insertCost: cfg.Costs.Insert}
 	l.M.Latency = stats.NewHist()
 	l.M.PriorityLatency = stats.NewHist()
+	if plan.Shared {
+		l.insertCost = cfg.Costs.AtomicInsert + sim.Time(topo.WorkersPerProc-1)*cfg.Costs.AtomicContention
+	}
+
+	g := max(cfg.BufferItems, 1)
+	l.payloadPool.min, l.bornPool.min, l.destsPool.min = g, g, g
 
 	nWorkers := topo.TotalWorkers()
-	nProcs := topo.TotalProcs()
-	l.eps = make([]*endpoint, nWorkers)
-	for w := range l.eps {
-		ep := &endpoint{worker: cluster.WorkerID(w)}
-		switch cfg.Scheme {
-		case WW:
-			ep.bufs = make([]buffer, nWorkers)
-		case WPs, WsP:
-			ep.bufs = make([]buffer, nProcs)
-		}
-		l.eps[w] = ep
+	l.eps = make([]endpoint, nWorkers)
+	l.bufs = make([][]buffer, plan.Owners(topo))
+	for o := range l.bufs {
+		l.bufs[o] = make([]buffer, plan.Routes(topo))
 	}
-	if cfg.Scheme == PP {
-		l.procs = make([]*procState, nProcs)
-		for p := range l.procs {
-			l.procs[p] = &procState{bufs: make([]buffer, nProcs)}
-		}
-		l.M.PerSourceMsgs = make([]int64, nProcs)
-	} else {
-		l.M.PerSourceMsgs = make([]int64, nWorkers)
-	}
+	l.M.PerSourceMsgs = make([]int64, len(l.bufs))
 
 	l.hPacket = rt.Register("tram.packet", l.onPacket)
 	l.hTimer = rt.Register("tram.flushTimer", l.onFlushTimer)
@@ -393,15 +320,6 @@ func New(rt *charm.Runtime, cfg Config, deliver DeliverFunc) *Lib {
 func (l *Lib) Config() Config { return l.cfg }
 
 // --- packet and slice recycling ---
-
-// sliceCap is the capacity of freshly allocated pooled arrays: one buffer's
-// worth of items, so a recycled array always fits a sealed buffer.
-func (l *Lib) sliceCap() int {
-	if l.cfg.BufferItems > 0 {
-		return l.cfg.BufferItems
-	}
-	return 1
-}
 
 // getPacket returns a zeroed packet from the pool.
 func (l *Lib) getPacket() *packet {
@@ -428,54 +346,31 @@ func (l *Lib) itemPacket(ctx *charm.Ctx, value uint64, priority bool) *packet {
 	return pkt
 }
 
-// putPayloads/putBorn/putDests return arrays to the pools. Arrays below full
-// buffer capacity (append-grown backing of buffers sealed early by a flush)
-// are dropped to the GC instead: every pooled array then fits a full buffer,
-// so refilled buffers never reallocate mid-fill and groupPacket never pops an
-// array it cannot use.
-func (l *Lib) putPayloads(s []uint64) {
-	if cap(s) >= l.sliceCap() {
-		l.payloadPool = append(l.payloadPool, s[:0])
+// arrayPool recycles the backing arrays of one of a buffer's parallel slices.
+// The engine is single-threaded, so a plain stack suffices. Fresh arrays hold
+// min items — one buffer's worth, so a recycled array always fits a sealed
+// buffer. put drops arrays below that capacity (append-grown backing of
+// buffers sealed early by a flush) to the GC instead: every pooled array then
+// fits a full buffer, so refilled buffers never reallocate mid-fill and
+// groupPacket never pops an array it cannot use.
+type arrayPool[T any] struct {
+	free [][]T
+	min  int
+}
+
+func (p *arrayPool[T]) put(s []T) {
+	if cap(s) >= p.min {
+		p.free = append(p.free, s[:0])
 	}
 }
 
-func (l *Lib) putBorn(s []sim.Time) {
-	if cap(s) >= l.sliceCap() {
-		l.bornPool = append(l.bornPool, s[:0])
-	}
-}
-
-func (l *Lib) putDests(s []cluster.WorkerID) {
-	if cap(s) >= l.sliceCap() {
-		l.destsPool = append(l.destsPool, s[:0])
-	}
-}
-
-func (l *Lib) getPayloads() []uint64 {
-	if n := len(l.payloadPool); n > 0 {
-		s := l.payloadPool[n-1][:0]
-		l.payloadPool = l.payloadPool[:n-1]
+func (p *arrayPool[T]) get() []T {
+	if n := len(p.free); n > 0 {
+		s := p.free[n-1][:0]
+		p.free = p.free[:n-1]
 		return s
 	}
-	return make([]uint64, 0, l.sliceCap())
-}
-
-func (l *Lib) getBorn() []sim.Time {
-	if n := len(l.bornPool); n > 0 {
-		s := l.bornPool[n-1][:0]
-		l.bornPool = l.bornPool[:n-1]
-		return s
-	}
-	return make([]sim.Time, 0, l.sliceCap())
-}
-
-func (l *Lib) getDests() []cluster.WorkerID {
-	if n := len(l.destsPool); n > 0 {
-		s := l.destsPool[n-1][:0]
-		l.destsPool = l.destsPool[:n-1]
-		return s
-	}
-	return make([]cluster.WorkerID, 0, l.sliceCap())
+	return make([]T, 0, p.min)
 }
 
 // releasePacket returns a delivered packet to the pool. Owned packets with
@@ -501,13 +396,13 @@ func (l *Lib) releasePacket(pkt *packet) {
 func (l *Lib) releaseOwned(pkt *packet) {
 	if !pkt.inlined {
 		if pkt.payloads != nil {
-			l.putPayloads(pkt.payloads)
+			l.payloadPool.put(pkt.payloads)
 		}
 		if pkt.born != nil {
-			l.putBorn(pkt.born)
+			l.bornPool.put(pkt.born)
 		}
 		if pkt.dests != nil {
-			l.putDests(pkt.dests)
+			l.destsPool.put(pkt.dests)
 		}
 	}
 	l.putPacketStruct(pkt)
@@ -545,18 +440,12 @@ func (l *Lib) Insert(ctx *charm.Ctx, dest cluster.WorkerID, value uint64) {
 
 	if dest == self {
 		// Self items short-circuit: no buffering, no messaging.
-		ctx.Charge(cfg.Costs.Deliver)
-		l.M.Delivered.Inc()
-		l.M.LocalDirect.Inc()
-		if cfg.TrackLatency {
-			l.M.Latency.Observe(0)
-		}
-		l.deliver(ctx, value)
+		l.deliverSelf(ctx, value)
 		return
 	}
 
 	dstProc := topo.ProcOf(dest)
-	if !cfg.BufferLocal && dstProc == ctx.Proc() && cfg.Scheme != Direct {
+	if l.plan.BypassLocal && dstProc == ctx.Proc() {
 		// SMP-aware local path: direct shared-memory delivery.
 		l.M.LocalDirect.Inc()
 		pkt := l.itemPacket(ctx, value, false)
@@ -564,54 +453,44 @@ func (l *Lib) Insert(ctx *charm.Ctx, dest cluster.WorkerID, value uint64) {
 		return
 	}
 
-	switch cfg.Scheme {
-	case Direct:
+	if !l.plan.Buffered {
 		ctx.Charge(cfg.Costs.Pack)
 		pkt := l.itemPacket(ctx, value, false)
 		l.M.PerSourceMsgs[self]++
 		l.accountSend(ctx, dstProc, 1, false)
 		ctx.Send(dest, l.hPacket, pkt, cfg.MsgHeaderBytes+cfg.ItemBytes, false)
-
-	case WW:
-		ctx.Charge(cfg.Costs.Insert)
-		ep := l.eps[self]
-		buf := &ep.bufs[dest]
-		l.push(buf, ctx, dest, value, false)
-		if buf.len() >= cfg.BufferItems {
-			l.sealWorkerBuf(ctx, self, dest, buf, false)
-		}
-		l.armTimer(ctx, ep)
-
-	case WPs, WsP:
-		ctx.Charge(cfg.Costs.Insert)
-		ep := l.eps[self]
-		buf := &ep.bufs[dstProc]
-		l.push(buf, ctx, dest, value, true)
-		if buf.len() >= cfg.BufferItems {
-			l.sealProcBuf(ctx, int(self), dstProc, buf, false)
-		}
-		l.armTimer(ctx, ep)
-
-	case PP:
-		t := topo.WorkersPerProc
-		ctx.Charge(cfg.Costs.AtomicInsert + sim.Time(t-1)*cfg.Costs.AtomicContention)
-		ps := l.procs[ctx.Proc()]
-		buf := &ps.bufs[dstProc]
-		l.push(buf, ctx, dest, value, true)
-		if buf.len() >= cfg.BufferItems {
-			l.sealProcBuf(ctx, int(ctx.Proc()), dstProc, buf, false)
-		}
-		l.armTimer(ctx, l.eps[self])
+		return
 	}
+
+	ctx.Charge(l.insertCost)
+	owner := l.plan.Owner(topo, self)
+	route := l.plan.Route(topo, dest)
+	buf := &l.bufs[owner][route]
+	l.push(buf, ctx, dest, value)
+	if buf.len() >= cfg.BufferItems {
+		l.seal(ctx, owner, route, buf, false)
+	}
+	l.armTimer(ctx, &l.eps[self])
+}
+
+// deliverSelf hands an item addressed to its own sender to the application.
+func (l *Lib) deliverSelf(ctx *charm.Ctx, value uint64) {
+	ctx.Charge(l.cfg.Costs.Deliver)
+	l.M.Delivered.Inc()
+	l.M.SelfItems.Inc()
+	if l.cfg.TrackLatency {
+		l.M.Latency.Observe(0)
+	}
+	l.deliver(ctx, value)
 }
 
 // push appends an item to buf.
-func (l *Lib) push(buf *buffer, ctx *charm.Ctx, dest cluster.WorkerID, value uint64, withDest bool) {
+func (l *Lib) push(buf *buffer, ctx *charm.Ctx, dest cluster.WorkerID, value uint64) {
 	buf.payloads = append(buf.payloads, value)
 	if l.cfg.TrackLatency {
 		buf.born = append(buf.born, ctx.Now())
 	}
-	if withDest {
+	if l.plan.Tagged {
 		buf.dests = append(buf.dests, dest)
 	}
 	l.M.curBuffered++
@@ -621,16 +500,16 @@ func (l *Lib) push(buf *buffer, ctx *charm.Ctx, dest cluster.WorkerID, value uin
 // take moves buf's contents into a packet-ready triple and swaps recycled
 // backing arrays into the drained buffer, so refills after a seal or flush
 // append into storage recovered from already-delivered packets.
-func (l *Lib) take(buf *buffer, withDest bool) (payloads []uint64, born []sim.Time, dests []cluster.WorkerID) {
+func (l *Lib) take(buf *buffer) (payloads []uint64, born []sim.Time, dests []cluster.WorkerID) {
 	payloads, born, dests = buf.payloads, buf.born, buf.dests
-	buf.payloads = l.getPayloads()
+	buf.payloads = l.payloadPool.get()
 	if l.cfg.TrackLatency {
-		buf.born = l.getBorn()
+		buf.born = l.bornPool.get()
 	} else {
 		buf.born = nil
 	}
-	if withDest {
-		buf.dests = l.getDests()
+	if l.plan.Tagged {
+		buf.dests = l.destsPool.get()
 	} else {
 		buf.dests = nil
 	}
@@ -638,44 +517,39 @@ func (l *Lib) take(buf *buffer, withDest bool) (payloads []uint64, born []sim.Ti
 	return
 }
 
-// sealWorkerBuf emits a WW buffer destined for a single worker.
-func (l *Lib) sealWorkerBuf(ctx *charm.Ctx, src, dest cluster.WorkerID, buf *buffer, flush bool) {
+// seal emits the buffer owner keeps for route as one message: to the route's
+// worker as it stands, or to the route's process, grouped here (the sort cost
+// paid before the send, Fig. 6) or left for the receiver to group.
+func (l *Lib) seal(ctx *charm.Ctx, owner, route int, buf *buffer, flush bool) {
 	n := buf.len()
-	payloads, born, _ := l.take(buf, false)
-	ctx.Charge(sim.Time(n) * l.cfg.Costs.Pack)
-	pkt := l.getPacket()
-	pkt.kind = pkToWorker
-	pkt.payloads = payloads
-	pkt.born = born
-	bytes := l.cfg.MsgHeaderBytes + n*l.cfg.ItemBytes
-	l.M.PerSourceMsgs[src]++
-	l.accountSend(ctx, l.rt.Topo.ProcOf(dest), bytes, flush)
-	ctx.Send(dest, l.hPacket, pkt, bytes, true)
-}
-
-// sealProcBuf emits a process-addressed buffer (WPs, WsP, PP). src is the
-// source worker (WPs/WsP) or source process (PP) index for message counting.
-func (l *Lib) sealProcBuf(ctx *charm.Ctx, src int, dstProc cluster.ProcID, buf *buffer, flush bool) {
-	n := buf.len()
-	payloads, born, dests := l.take(buf, true)
+	payloads, born, dests := l.take(buf)
 	cfg := &l.cfg
 	ctx.Charge(sim.Time(n) * cfg.Costs.Pack)
 	pkt := l.getPacket()
 	pkt.payloads = payloads
 	pkt.born = born
 	pkt.dests = dests
-	if cfg.Scheme == WsP {
-		// Group at the source worker: the sort cost is paid here, before
-		// the send (Fig. 6).
+	itemBytes := cfg.ItemBytes
+	if l.plan.Tagged {
+		itemBytes += cfg.WorkerTagBytes
+	}
+	bytes := cfg.MsgHeaderBytes + n*itemBytes
+	l.M.PerSourceMsgs[owner]++
+	if !l.plan.ProcRouted {
+		dest := cluster.WorkerID(route)
+		pkt.kind = pkToWorker
+		l.accountSend(ctx, l.rt.Topo.ProcOf(dest), bytes, flush)
+		ctx.Send(dest, l.hPacket, pkt, bytes, true)
+		return
+	}
+	dstProc := cluster.ProcID(route)
+	pkt.kind = pkUngrouped
+	if l.plan.Group == GroupAtSource {
 		t := l.rt.Topo.WorkersPerProc
 		ctx.Charge(sim.Time(n)*cfg.Costs.SortPerItem + sim.Time(t)*cfg.Costs.SortPerBucket)
 		l.groupPacket(pkt, dstProc)
 		pkt.kind = pkGrouped
-	} else {
-		pkt.kind = pkUngrouped
 	}
-	bytes := cfg.MsgHeaderBytes + n*(cfg.ItemBytes+cfg.WorkerTagBytes)
-	l.M.PerSourceMsgs[src]++
 	l.accountSend(ctx, dstProc, bytes, flush)
 	ctx.SendToProc(dstProc, l.hPacket, pkt, bytes, true)
 }
@@ -701,7 +575,7 @@ func (l *Lib) groupPacket(pkt *packet, dstProc cluster.ProcID) {
 		}
 		off += counts[r]
 	}
-	payloads := l.getPayloads()
+	payloads := l.payloadPool.get()
 	if cap(payloads) < n {
 		payloads = make([]uint64, n)
 	} else {
@@ -709,7 +583,7 @@ func (l *Lib) groupPacket(pkt *packet, dstProc cluster.ProcID) {
 	}
 	var born []sim.Time
 	if pkt.born != nil {
-		born = l.getBorn()
+		born = l.bornPool.get()
 		if cap(born) < n {
 			born = make([]sim.Time, n)
 		} else {
@@ -724,11 +598,11 @@ func (l *Lib) groupPacket(pkt *packet, dstProc cluster.ProcID) {
 		}
 		cursor[r]++
 	}
-	l.putPayloads(pkt.payloads)
+	l.payloadPool.put(pkt.payloads)
 	if pkt.born != nil {
-		l.putBorn(pkt.born)
+		l.bornPool.put(pkt.born)
 	}
-	l.putDests(pkt.dests)
+	l.destsPool.put(pkt.dests)
 	pkt.payloads = payloads
 	pkt.born = born
 	pkt.dests = nil
@@ -835,15 +709,8 @@ func (l *Lib) deliverItems(ctx *charm.Ctx, payloads []uint64, born []sim.Time) {
 func (l *Lib) InsertPriority(ctx *charm.Ctx, dest cluster.WorkerID, value uint64) {
 	l.M.Inserted.Inc()
 	l.M.PriorityItems.Inc()
-	self := ctx.Self()
-	if dest == self {
-		ctx.Charge(l.cfg.Costs.Deliver)
-		l.M.Delivered.Inc()
-		l.M.LocalDirect.Inc()
-		if l.cfg.TrackLatency {
-			l.M.Latency.Observe(0)
-		}
-		l.deliver(ctx, value)
+	if dest == ctx.Self() {
+		l.deliverSelf(ctx, value)
 		return
 	}
 	ctx.Charge(l.cfg.Costs.Pack)
@@ -863,42 +730,18 @@ func (l *Lib) deliverPriority(ctx *charm.Ctx, pkt *packet) {
 	l.deliver(ctx, pkt.payloads[0])
 }
 
-// Flush sends every non-empty buffer owned by the calling worker — and, for
-// PP, the calling worker's process — as resized messages. Matches the
+// Flush sends every non-empty buffer the calling worker fills — its own, or
+// its process's when they are shared — as resized messages. Matches the
 // paper's per-PE flush call at the end of an update phase.
 func (l *Lib) Flush(ctx *charm.Ctx) {
 	l.M.Flushes.Inc()
-	cfg := &l.cfg
-	self := ctx.Self()
-	switch cfg.Scheme {
-	case Direct:
-		return
-	case WW:
-		ep := l.eps[self]
-		for d := range ep.bufs {
-			buf := &ep.bufs[d]
-			ctx.Charge(cfg.Costs.ScanBuffer)
-			if buf.len() > 0 {
-				l.sealWorkerBuf(ctx, self, cluster.WorkerID(d), buf, true)
-			}
-		}
-	case WPs, WsP:
-		ep := l.eps[self]
-		for p := range ep.bufs {
-			buf := &ep.bufs[p]
-			ctx.Charge(cfg.Costs.ScanBuffer)
-			if buf.len() > 0 {
-				l.sealProcBuf(ctx, int(self), cluster.ProcID(p), buf, true)
-			}
-		}
-	case PP:
-		ps := l.procs[ctx.Proc()]
-		for p := range ps.bufs {
-			buf := &ps.bufs[p]
-			ctx.Charge(cfg.Costs.ScanBuffer)
-			if buf.len() > 0 {
-				l.sealProcBuf(ctx, int(ctx.Proc()), cluster.ProcID(p), buf, true)
-			}
+	owner := l.plan.Owner(l.rt.Topo, ctx.Self())
+	bufs := l.bufs[owner]
+	for route := range bufs {
+		buf := &bufs[route]
+		ctx.Charge(l.cfg.Costs.ScanBuffer)
+		if buf.len() > 0 {
+			l.seal(ctx, owner, route, buf, true)
 		}
 	}
 }
@@ -927,22 +770,13 @@ func (l *Lib) onFlushTimer(ctx *charm.Ctx, data any, _ int) {
 	}
 }
 
-// flushBurst sends up to FlushBurst non-empty buffers owned by ep's worker
-// (or its process for PP), round-robin. It reports whether items remain.
+// flushBurst sends up to FlushBurst non-empty buffers of the set the calling
+// worker fills, round-robin from ep's cursor. It reports whether items remain.
 func (l *Lib) flushBurst(ctx *charm.Ctx, ep *endpoint) (remaining bool) {
 	l.M.Flushes.Inc()
 	cfg := &l.cfg
-	var bufs []buffer
-	var procOwned bool
-	switch cfg.Scheme {
-	case WW, WPs, WsP:
-		bufs = ep.bufs
-	case PP:
-		bufs = l.procs[ctx.Proc()].bufs
-		procOwned = true
-	default:
-		return false
-	}
+	owner := l.plan.Owner(l.rt.Topo, ctx.Self())
+	bufs := l.bufs[owner]
 	n := len(bufs)
 	sent := 0
 	scanned := 0
@@ -954,14 +788,7 @@ func (l *Lib) flushBurst(ctx *charm.Ctx, ep *endpoint) (remaining bool) {
 			continue
 		}
 		sent++
-		switch {
-		case cfg.Scheme == WW:
-			l.sealWorkerBuf(ctx, ep.worker, cluster.WorkerID(i), buf, true)
-		case procOwned:
-			l.sealProcBuf(ctx, int(ctx.Proc()), cluster.ProcID(i), buf, true)
-		default:
-			l.sealProcBuf(ctx, int(ep.worker), cluster.ProcID(i), buf, true)
-		}
+		l.seal(ctx, owner, i, buf, true)
 	}
 	ep.burstCursor = (ep.burstCursor + scanned) % n
 	for i := range bufs {
@@ -977,7 +804,8 @@ func (l *Lib) flushBurst(ctx *charm.Ctx, ep *endpoint) (remaining bool) {
 func (l *Lib) BufferedItems() int64 { return l.M.curBuffered }
 
 // MemoryModelBytes returns the §III-C worst-case buffer memory bound for this
-// configuration and topology, in bytes:
+// configuration and topology, in bytes: every owner (Plan.Owners) holds at
+// most one full buffer per route (Plan.Routes), so
 //
 //	WW:       g·m·N·t per worker-core
 //	WPs, WsP: g·m·N   per worker-core
@@ -987,17 +815,6 @@ func (l *Lib) BufferedItems() int64 { return l.M.curBuffered }
 // m=ItemBytes. Used by tests to verify actual peak usage never exceeds it.
 func (l *Lib) MemoryModelBytes() int64 {
 	topo := l.rt.Topo
-	g := int64(l.cfg.BufferItems)
-	m := int64(l.cfg.ItemBytes)
-	N := int64(topo.TotalProcs())
-	t := int64(topo.WorkersPerProc)
-	switch l.cfg.Scheme {
-	case WW:
-		return g * m * N * t * int64(topo.TotalWorkers())
-	case WPs, WsP:
-		return g * m * N * int64(topo.TotalWorkers())
-	case PP:
-		return g * m * N * int64(topo.TotalProcs())
-	}
-	return 0
+	perOwner := int64(l.cfg.BufferItems) * int64(l.cfg.ItemBytes) * int64(l.plan.Routes(topo))
+	return perOwner * int64(l.plan.Owners(topo))
 }

@@ -229,7 +229,7 @@ func TestMessageCountBounds(t *testing.T) {
 				// fraction; we check against the strict upper and a
 				// conservative lower of (z - localShare)/g - 1.
 				local := int64(0)
-				if !h.lib.cfg.BufferLocal {
+				if s.Plan().BypassLocal {
 					// items to own process (incl. the self redirect)
 					local = zi / int64(N)
 				}
@@ -275,17 +275,10 @@ func TestBufferNeverExceedsG(t *testing.T) {
 	for _, s := range []Scheme{WW, WPs, WsP, PP} {
 		h := newHarness(topo, testConfig(s, g))
 		check := func() {
-			for _, ep := range h.lib.eps {
-				for i := range ep.bufs {
-					if ep.bufs[i].len() > g {
-						t.Fatalf("%v: buffer holds %d > g=%d", s, ep.bufs[i].len(), g)
-					}
-				}
-			}
-			for _, ps := range h.lib.procs {
-				for i := range ps.bufs {
-					if ps.bufs[i].len() > g {
-						t.Fatalf("%v: proc buffer holds %d > g=%d", s, ps.bufs[i].len(), g)
+			for owner, bufs := range h.lib.bufs {
+				for route := range bufs {
+					if n := bufs[route].len(); n > g {
+						t.Fatalf("%v: owner %d's buffer for route %d holds %d > g=%d", s, owner, route, n, g)
 					}
 				}
 			}
@@ -402,23 +395,41 @@ func TestWWBuffersLocalDestinations(t *testing.T) {
 	}
 }
 
+// TestSMPAwareSchemesBypassBufferLocally holds every aggregating scheme to its
+// plan's BypassLocal: a same-process item is delivered unbuffered and counted
+// in LocalDirect exactly when the plan says so, and buffered otherwise (WW,
+// the SMP-unaware scheme — no configuration can make it bypass). A self item
+// is neither: it is delivered inline and counted in SelfItems on every plan.
 func TestSMPAwareSchemesBypassBufferLocally(t *testing.T) {
 	topo := cluster.SMP(1, 1, 2)
-	for _, s := range []Scheme{WPs, WsP, PP} {
+	for _, s := range Schemes()[1:] {
+		bypass := s.Plan().BypassLocal
+		if want := s != WW; bypass != want {
+			t.Fatalf("%v: plan BypassLocal = %v, want %v", s, bypass, want)
+		}
 		h := newHarness(topo, testConfig(s, 1024))
 		gen := h.rt.Register("gen", func(ctx *charm.Ctx, _ any, _ int) {
+			h.lib.Insert(ctx, 0, 9)
 			h.lib.Insert(ctx, 1, 7)
-			if h.lib.BufferedItems() != 0 {
-				t.Errorf("%v buffered a same-process item", s)
+			if buffered := h.lib.BufferedItems() != 0; buffered == bypass {
+				t.Errorf("%v buffered a same-process item: %v, plan BypassLocal %v", s, buffered, bypass)
 			}
+			h.lib.Flush(ctx)
 		})
 		h.rt.Inject(0, 0, gen, nil)
 		h.rt.Run()
-		if h.recv[1][7] != 1 {
-			t.Fatalf("%v: local item not delivered", s)
+		if h.recv[1][7] != 1 || h.recv[0][9] != 1 {
+			t.Fatalf("%v: local or self item not delivered", s)
 		}
-		if h.lib.M.LocalDirect.Value() != 1 {
-			t.Fatalf("%v: LocalDirect = %d", s, h.lib.M.LocalDirect.Value())
+		wantDirect := int64(0)
+		if bypass {
+			wantDirect = 1
+		}
+		if got := h.lib.M.LocalDirect.Value(); got != wantDirect {
+			t.Fatalf("%v: LocalDirect = %d, want %d", s, got, wantDirect)
+		}
+		if got := h.lib.M.SelfItems.Value(); got != 1 {
+			t.Fatalf("%v: SelfItems = %d, want 1", s, got)
 		}
 	}
 }
@@ -603,5 +614,73 @@ func TestAggregationReducesMessages(t *testing.T) {
 	agg := msgs(WPs, 64)
 	if agg*10 > direct {
 		t.Fatalf("aggregation sent %d messages vs %d direct; want >=10x reduction", agg, direct)
+	}
+}
+
+// TestPlanMatchesPaperTable pins the §III-B table: each scheme's Plan, the
+// route and owner arithmetic it implies, and the buffer table New lays out
+// from it against MemoryModelBytes' N·t / N / N buffers per owner.
+func TestPlanMatchesPaperTable(t *testing.T) {
+	want := map[Scheme]Plan{
+		Direct: {},
+		WW:     {Buffered: true},
+		WPs:    {Buffered: true, ProcRouted: true, Group: GroupAtDest, BypassLocal: true, Tagged: true},
+		WsP:    {Buffered: true, ProcRouted: true, Group: GroupAtSource, BypassLocal: true, Tagged: true},
+		PP:     {Buffered: true, ProcRouted: true, Shared: true, Group: GroupAtDest, BypassLocal: true, Tagged: true},
+	}
+	topo := cluster.SMP(2, 2, 4)
+	N, tw, W := topo.TotalProcs(), topo.WorkersPerProc, topo.TotalWorkers()
+	perOwner := map[Scheme]int{Direct: 0, WW: N * tw, WPs: N, WsP: N, PP: N}
+	owners := map[Scheme]int{Direct: W, WW: W, WPs: W, WsP: W, PP: N}
+	if len(Schemes()) != len(want) {
+		t.Fatalf("table covers %d schemes, Schemes() lists %d", len(want), len(Schemes()))
+	}
+	for _, s := range Schemes() {
+		p := s.Plan()
+		if p != want[s] {
+			t.Errorf("%v: plan %+v, want %+v", s, p, want[s])
+		}
+		// What the rest of the table's users lean on: a process-addressed
+		// buffer carries tagged items, is grouped somewhere, and is never
+		// used for the sender's own process; a worker-addressed one is none
+		// of those.
+		if p.Tagged != p.ProcRouted || (p.Group != GroupNone) != p.ProcRouted || p.BypassLocal != p.ProcRouted {
+			t.Errorf("%v: plan %+v mixes worker- and process-addressed behaviour", s, p)
+		}
+		if got := p.Routes(topo); got != perOwner[s] {
+			t.Errorf("%v: %d routes, want %d", s, got, perOwner[s])
+		}
+		if got := p.Owners(topo); got != owners[s] {
+			t.Errorf("%v: %d owners, want %d", s, got, owners[s])
+		}
+		for w := 0; w < W; w++ {
+			id := cluster.WorkerID(w)
+			route, owner := w, w
+			if p.ProcRouted {
+				route = int(topo.ProcOf(id))
+			}
+			if p.Shared {
+				owner = int(topo.ProcOf(id))
+			}
+			if p.Route(topo, id) != route || p.Owner(topo, id) != owner {
+				t.Errorf("%v: worker %d has route %d owner %d, want %d %d", s, w, p.Route(topo, id), p.Owner(topo, id), route, owner)
+			}
+		}
+
+		cfg := testConfig(s, 8)
+		lib := newHarness(topo, cfg).lib
+		if len(lib.bufs) != owners[s] || len(lib.M.PerSourceMsgs) != owners[s] {
+			t.Errorf("%v: New laid out %d owners (%d message counters), want %d", s, len(lib.bufs), len(lib.M.PerSourceMsgs), owners[s])
+		}
+		buffers := 0
+		for _, bufs := range lib.bufs {
+			if len(bufs) != perOwner[s] {
+				t.Errorf("%v: an owner holds %d buffers, want %d", s, len(bufs), perOwner[s])
+			}
+			buffers += len(bufs)
+		}
+		if got, want := lib.MemoryModelBytes(), int64(cfg.BufferItems*cfg.ItemBytes*buffers); got != want {
+			t.Errorf("%v: MemoryModelBytes %d, want g·m × %d buffers = %d", s, got, buffers, want)
+		}
 	}
 }

@@ -107,9 +107,10 @@ func TestPropertyMessageBytesConsistent(t *testing.T) {
 			h.rt.Inject(0, cluster.WorkerID(w), gen, nil)
 		}
 		h.rt.Run()
-		// Remote items (excluding local-direct and self) each contribute
+		// Remote items (excluding local-direct and self: WPs's plan bypasses
+		// its buffers for every same-process item) each contribute
 		// ItemBytes+WorkerTagBytes; each remote message adds a header.
-		remoteItems := h.lib.M.Delivered.Value() - h.lib.M.LocalDirect.Value() - localForwarded(h)
+		remoteItems := h.lib.M.Delivered.Value() - h.lib.M.LocalDirect.Value() - h.lib.M.SelfItems.Value()
 		minBytes := remoteItems * int64(cfg.ItemBytes)
 		maxBytes := remoteItems*int64(cfg.ItemBytes+cfg.WorkerTagBytes) +
 			h.lib.M.RemoteMsgs.Value()*int64(cfg.MsgHeaderBytes)
@@ -119,14 +120,6 @@ func TestPropertyMessageBytesConsistent(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// localForwarded counts items that travelled only intra-process (sent through
-// buffers to a same-process destination; possible because WPs buffers all
-// remote-process items but the test's random destinations include same-proc
-// workers only via the direct path).
-func localForwarded(h *harness) int64 {
-	return 0 // WPs with BufferLocal=false: same-proc items are LocalDirect
 }
 
 // TestPropertyCommThreadConservation: every remote aggregated message passes

@@ -82,8 +82,8 @@ func WorkerMain(build BuildFunc) {
 // destinations to peer links and converts the runtime's batch types into
 // wire types in per-peer scratch. Which bytes then move — a socket write or
 // an in-place ring encode — is the link's business; the runtime's
-// CrossCounts accounting, deadline-flush requests, and quiescence protocol
-// upstream never see the difference.
+// CrossCounts accounting, deadline flushes, and quiescence protocol upstream
+// never see the difference.
 //
 // Send failures (a dead peer, a ring stalled past its deadline) cannot be
 // returned to the kernel: the first one is latched, the runtime is stopped,

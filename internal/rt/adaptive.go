@@ -61,7 +61,6 @@ import (
 	"time"
 
 	"tramlib/internal/cluster"
-	"tramlib/internal/core"
 	"tramlib/internal/stats"
 )
 
@@ -124,7 +123,7 @@ func (a Adaptive) validate(c Config) error {
 	if a.MinBatch < 0 {
 		return fmt.Errorf("rt: negative adaptive MinBatch")
 	}
-	if c.Scheme != core.Direct && a.MinBatch > c.BufferItems {
+	if c.Scheme.Plan().Buffered && a.MinBatch > c.BufferItems {
 		return fmt.Errorf("rt: adaptive MinBatch %d exceeds BufferItems %d", a.MinBatch, c.BufferItems)
 	}
 	if a.DirectBelow < 0 {
@@ -171,11 +170,11 @@ func (a Adaptive) normalized(c Config) Adaptive {
 	return a
 }
 
-// route is one destination's adaptive state. The route index space follows
-// the scheme's aggregation granularity: one route per destination worker
-// under WW, one per destination process under WPs/WsP/PP (the SMP-aware
-// schemes aggregate per process, so that is the unit the controller can
-// actually steer). Hot-path goroutines touch only events and direct; the
+// route is one destination's adaptive state. The route index space is the
+// plan's (core.Plan.Route): one route per buffer address — a destination
+// worker under WW, a destination process under WPs/WsP/PP — because that is
+// the unit the controller can actually steer, and it is the slot table's
+// index. Hot-path goroutines touch only events and direct; the
 // deadline is read by flush paths; everything unexported below the hist is
 // owned by the controller goroutine.
 type route struct {
@@ -199,8 +198,14 @@ type route struct {
 	win        stats.Window
 	lastEvents int64
 	lastCount  int64
-	fan        int // buffers feeding this route (per-buffer rate = route rate / fan)
+	// feeders are the buffers feeding this route, every slot of the table
+	// whose route this is (per-buffer rate = route rate / len(feeders)).
+	feeders []sealTargeter
 }
+
+// sealTargeter is what the controller needs of a buffer: its advisory seal
+// target (both shmem buffer types, whatever their item type).
+type sealTargeter interface{ SetTarget(n int) }
 
 // RouteStats is a snapshot of one destination route's adaptive state, the
 // observability surface tests and tramserve metrics read.
@@ -252,14 +257,6 @@ func (rt *Runtime) RouteStats(i int) RouteStats {
 	return s
 }
 
-// routeIndex maps a destination worker to its route.
-func (rt *Runtime) routeIndex(dest cluster.WorkerID) int {
-	if rt.cfg.Scheme == core.WW {
-		return int(dest)
-	}
-	return int(rt.topo.ProcOf(dest))
-}
-
 // routeDeadlineNs returns route ri's current flush deadline in nanoseconds,
 // falling back to the static bound before the controller has wired it.
 func (rt *Runtime) routeDeadlineNs(ri int) int64 {
@@ -285,90 +282,41 @@ func (w *worker) routeSend(ri int, dest cluster.WorkerID, value uint64) bool {
 }
 
 // wireAdaptive builds the route table. Called at the end of New, after the
-// scheme buffers (and serve-mode ingress buffers) exist, so each route's
-// fan-in can be counted from what was actually wired: a route with no
-// feeding buffer is unreachable through aggregation (self and SMP-local
-// destinations) and stays inert.
+// slot table (and serve-mode ingress buffers) exist, so each route's feeders
+// are what was actually wired: a route no slot feeds is unreachable through
+// aggregation (self and SMP-local destinations) and stays inert.
 func (rt *Runtime) wireAdaptive() {
 	rt.adaptive = rt.cfg.Adaptive.normalized(rt.cfg)
-	n := rt.topo.TotalProcs()
-	if rt.cfg.Scheme == core.WW {
-		n = rt.topo.TotalWorkers()
+	rt.routes = make([]route, rt.plan.Routes(rt.topo))
+	feed := func(route int, b sealTargeter) {
+		if route >= 0 {
+			r := &rt.routes[route]
+			r.feeders = append(r.feeders, b)
+		}
 	}
-	rt.routes = make([]route, n)
-	fan := make([]int, n)
 	for _, w := range rt.workers {
-		if w == nil {
-			continue
-		}
-		for d, b := range w.wwBufs {
-			if b != nil {
-				fan[d]++
-			}
-		}
-		for p, b := range w.wpsBufs {
-			if b != nil {
-				fan[p]++
+		if w != nil {
+			for _, s := range w.owned {
+				feed(s.route, s.buf)
 			}
 		}
 	}
-	for _, ps := range rt.procs {
-		if ps == nil {
-			continue
-		}
-		for p, b := range ps.ppBufs {
-			if b != nil {
-				fan[p]++
-			}
+	for _, slots := range rt.shared {
+		for _, s := range slots {
+			feed(s.route, s.buf)
 		}
 	}
-	if rt.cfg.Scheme != core.WW {
-		// Ingress buffers are process-addressed; under WW the route index
-		// space is per worker, so they keep the global deadline and their
-		// seals stay out of per-route accounting.
-		for p, b := range rt.ingressBufs {
-			if b != nil {
-				fan[p]++
-			}
-		}
+	for _, s := range rt.ingress {
+		feed(s.route, s.buf)
 	}
 	for i := range rt.routes {
-		if fan[i] == 0 {
+		r := &rt.routes[i]
+		if len(r.feeders) == 0 {
 			continue
 		}
-		r := &rt.routes[i]
-		r.fan = fan[i]
 		r.hist = stats.NewAtomicHist()
 		r.rate = stats.NewRateEWMA(rt.adaptive.HalfLife)
 		r.deadlineNs.Store(int64(rt.adaptive.MaxDeadline))
-	}
-}
-
-// applySealTarget pushes route ri's advisory occupancy target to every
-// buffer feeding it (0 restores seal-at-capacity).
-func (rt *Runtime) applySealTarget(ri, target int) {
-	switch rt.cfg.Scheme {
-	case core.WW:
-		for _, w := range rt.workers {
-			if w != nil && w.wwBufs[ri] != nil {
-				w.wwBufs[ri].SetTarget(target)
-			}
-		}
-	case core.WPs, core.WsP:
-		for _, w := range rt.workers {
-			if w != nil && w.wpsBufs[ri] != nil {
-				w.wpsBufs[ri].SetTarget(target)
-			}
-		}
-	case core.PP:
-		for _, ps := range rt.procs {
-			if ps != nil && ps.ppBufs[ri] != nil {
-				ps.ppBufs[ri].SetTarget(target)
-			}
-		}
-	}
-	if rt.cfg.Scheme != core.WW && rt.ingressBufs != nil && rt.ingressBufs[ri] != nil {
-		rt.ingressBufs[ri].SetTarget(target)
 	}
 }
 
@@ -422,7 +370,7 @@ func (rt *Runtime) controlTick(now time.Time) {
 		// that would fill past capacity mean "seal at capacity" (0).
 		target := 0
 		if rate > 0 {
-			t := int(rate / float64(r.fan) * (float64(d) / 1e9) * 3 / 4)
+			t := int(rate / float64(len(r.feeders)) * (float64(d) / 1e9) * 3 / 4)
 			if t < a.MinBatch {
 				t = a.MinBatch
 			}
@@ -433,7 +381,9 @@ func (rt *Runtime) controlTick(now time.Time) {
 		}
 		if int32(target) != r.sealTarget.Load() {
 			r.sealTarget.Store(int32(target))
-			rt.applySealTarget(i, target)
+			for _, b := range r.feeders {
+				b.SetTarget(target) // 0 restores seal-at-capacity
+			}
 		}
 
 		// Path selection with hysteresis. Items already buffered when a

@@ -1,22 +1,33 @@
 // Package rt is the real-concurrency TramLib runtime: it executes the same
 // application kernels the simulator runs (histogram, index-gather, ping-ack)
 // on actual goroutines communicating through the lock-free aggregation
-// buffers of internal/shmem, wired per scheme exactly as §III-B prescribes:
+// buffers of internal/shmem, wired as §III-B prescribes. What a scheme
+// prescribes is core.Plan — the table in internal/core/plan.go, the one place
+// a scheme is turned into behaviour — and New lays the buffers out from it,
+// once, as a slot table indexed by the plan's route:
 //
-//	Direct  every Send is its own single-item message (baseline).
-//	WW      each worker owns one shmem.SPBuffer per destination worker and —
-//	        being the SMP-unaware scheme — also buffers same-process items.
-//	WPs     each worker owns one SPBuffer per destination process; a worker
-//	        of the receiving process groups arriving items by destination
-//	        worker and forwards the runs.
-//	WsP     like WPs, but the source worker groups items into runs before
-//	        sending; the receiver only forwards them.
-//	PP      all workers of a process share one shmem.MPBuffer per
-//	        destination process, filled through the atomic claim/seal
-//	        protocol.
+//   - a buffer is addressed to a destination worker (WW: N·t routes, bare
+//     payload words) or a destination process (WPs, WsP, PP: N routes, items
+//     tagged with their destination worker);
+//   - it is owned by one source worker, a single-producer shmem.SPBuffer
+//     only that worker's goroutine touches (WW, WPs, WsP), or shared by the
+//     workers of a source process, a shmem.MPBuffer filled through the atomic
+//     claim/seal protocol (PP — and, in serve mode, the ingress buffers the
+//     frontend goroutines fill, which are the same type and are treated the
+//     same);
+//   - a process-addressed batch is grouped by destination worker where it is
+//     sealed (WsP) or by a worker of the receiving process (WPs, PP), and the
+//     runs are forwarded through shared memory;
+//   - items for another worker of the sender's process bypass the buffers
+//     under every process-addressed plan, and are buffered under WW, the
+//     SMP-unaware scheme; Direct buffers nothing.
 //
-// The SMP-aware schemes (WPs, WsP, PP) deliver same-process items directly,
-// and self items are delivered inline — mirroring core.Lib.Insert.
+// Self items are delivered inline on every plan — mirroring core.Lib.Insert.
+// The one route an owner never uses is its own (its own worker under WW, its
+// own process otherwise), so that slot does not exist. Ctx.Send pushes through
+// a typed view of the worker's slots that New set from the plan; everything
+// else — idle and explicit flushes, deadline checks, the adaptive
+// controller's seal targets and fan-in — walks the slots and is written once.
 //
 // Where internal/charm models time by charging virtual costs, this runtime
 // measures wall-clock time; comparing the two is the sim-vs-real calibration
@@ -89,7 +100,7 @@
 // Intra-process traffic still flows through the internal/shmem buffers
 // exactly as in whole-topology mode; only the cross-process legs change
 // transport. The runtime is transport-agnostic by construction: Remote is
-// the entire seam, so the quiescence counters, deadline-flush requests, and
+// the entire seam, so the quiescence counters, deadline ownership, and
 // batch-ownership rules below hold identically whichever link kind carries
 // a batch. In this mode local quiescence (no producing worker, no in-flight
 // local item) is necessary but not sufficient — items may be in transit —
@@ -100,21 +111,34 @@
 //
 // # Latency bound
 //
-// A progress goroutine enforces the paper's §III delivery deadline
-// (Config.FlushDeadline): it polls every buffer's OldestNanos stamp and
-// force-flushes those holding items longer than the deadline — directly for
-// the shared PP buffers (MPBuffer.Flush is safe from any goroutine), and by
-// posting a flush request to the owning worker for single-producer buffers.
-// Workers additionally flush everything they own whenever they go idle,
-// mirroring core.Config.FlushOnIdle.
+// The paper's §III delivery deadline (Config.FlushDeadline) is enforced, for
+// every scheme, by the goroutines that own the buffers. A worker re-checks
+// the buffers it fills — its own single-producer ones and its process's
+// shared ones — once per scheduler slot (worker.deadlineFlush): between
+// kernel chunks while it generates, and in its consume phase after every
+// drained inbox chain, after every slot of posted tasks, and every ChunkSize
+// messages inside a long chain. Hence the bound:
 //
-// The progress goroutine is the backstop, not the primary: a running worker
-// re-checks its own single-producer buffers and its process's shared PP
-// buffers between kernel chunks (worker.deadlineFlush), so for every scheme
-// the oldest buffered item waits at most FlushDeadline + one chunk while its
-// buffer's owner runs (for PP: while any worker of the process does), and at
-// most FlushDeadline + the progress tick period (FlushDeadline/2) when the
-// owners are parked or stuck inside a kernel step.
+//   - the oldest item waits ≤ FlushDeadline + one chunk while its buffer's
+//     owner runs (generation and consume phase; for a shared buffer, while
+//     any worker of the process does);
+//   - ≤ FlushDeadline + tick (the progress goroutine's period,
+//     FlushDeadline/2) for shared buffers of parked processes.
+//
+// No request path exists from the progress goroutine to a worker, and none
+// is needed: a worker never parks with a non-empty owned buffer — flushing
+// everything it fills (mirroring core.Config.FlushOnIdle) is the last thing
+// it does before the park, and nothing but its own goroutine can put an item
+// into a single-producer buffer — so an owned buffer that holds items belongs
+// to a worker that is running, and a running worker could only have served a
+// request at the drain point where it now checks for itself. A worker held
+// inside one kernel step or DeliverFunc checks when that call returns, as a
+// request would have waited for it to.
+//
+// The progress goroutine keeps exactly two jobs: it is the backstop for
+// shared buffers, which hold items from goroutines that may all be parked or
+// are not workers at all (MPBuffer.FlushIfOlder is safe from any goroutine),
+// and it runs the adaptive controller's policy tick.
 //
 // # Pooling and batch ownership
 //
@@ -197,11 +221,13 @@ type Config struct {
 	// BufferItems is g: items per aggregation buffer.
 	BufferItems int
 	// FlushDeadline is the paper's latency bound: the longest an item may
-	// sit in a buffer before the progress goroutine force-flushes it.
-	// 0 disables deadline flushing (idle flushes still guarantee progress).
+	// sit in a buffer before the buffer's owner seals it (see the package
+	// comment's latency-bound section). 0 disables deadline flushing (idle
+	// flushes still guarantee progress).
 	FlushDeadline time.Duration
-	// ChunkSize is the number of generation steps a worker runs between
-	// inbox drains and deadline checks (a Charm++ scheduler slot).
+	// ChunkSize is a Charm++ scheduler slot: the number of generation steps,
+	// posted tasks or delivered messages a worker runs between inbox drains
+	// and deadline checks.
 	ChunkSize int
 	// Part, when non-nil, runs the runtime in partitioned mode: only
 	// Part.Proc's workers execute locally and cross-process batches flow
@@ -252,7 +278,7 @@ func (c Config) Validate() error {
 	if c.Scheme > core.PP {
 		return fmt.Errorf("rt: invalid scheme %d", c.Scheme)
 	}
-	if c.Scheme != core.Direct && c.BufferItems <= 0 {
+	if c.Scheme.Plan().Buffered && c.BufferItems <= 0 {
 		return fmt.Errorf("rt: BufferItems must be positive, got %d", c.BufferItems)
 	}
 	if c.ChunkSize <= 0 {
@@ -326,12 +352,13 @@ type Result struct {
 	// Reduced is the sum of all Contribute values (the runtime's global
 	// reduction, Charm++'s contribute/reduction pair).
 	Reduced int64
-	// Batches/FullBatches/Flushes/DeadlineFlushes/LocalDirect mirror
-	// Metrics at completion.
+	// Batches/FullBatches/Flushes/DeadlineFlushes/SelfItems/LocalDirect
+	// mirror Counters at completion.
 	Batches         int64
 	FullBatches     int64
 	Flushes         int64
 	DeadlineFlushes int64
+	SelfItems       int64
 	LocalDirect     int64
 	// RemoteSent / RemoteRecv count items shipped to and received from other
 	// OS processes (partitioned mode only; zero otherwise).
@@ -350,7 +377,6 @@ const (
 	mkToWorker msgKind = iota // payloads all addressed to the receiving worker
 	mkItems                   // items for several workers of the receiving process (WPs/PP)
 	mkRuns                    // pre-grouped runs (WsP): deliver own, forward the rest
-	mkFlushReq                // progress goroutine: deadline-flush your SP buffers
 )
 
 // Run is one pre-grouped run: payload words all addressed to a single
@@ -374,16 +400,32 @@ type msg struct {
 	inline   [1]uint64
 }
 
-// worker is one PE: a goroutine owning an inbox and (per scheme) a set of
-// single-producer buffers.
+// ownedSlot is one single-producer buffer of the slot table: the route it
+// feeds and what the flush paths need of it, whichever item type it carries.
+type ownedSlot struct {
+	route int
+	buf   interface {
+		Flush()
+		OldestNanos() int64
+		SetTarget(n int)
+	}
+}
+
+// sharedSlot is one multi-producer buffer of the slot table. route is -1 when
+// its seals cannot be attributed to one route (ingress buffers, which are
+// process-addressed, under a worker-addressed plan).
+type sharedSlot struct {
+	route int
+	buf   *shmem.MPBuffer[Item]
+}
+
+// worker is one PE: a goroutine owning an inbox and its share of the slot
+// table.
 type worker struct {
-	// inbox and flushReq are the two fields other goroutines write; the pad
-	// keeps them off the lines the owner reads and writes per item.
+	// inbox is the one field other goroutines write; the pad keeps it off the
+	// lines the owner reads and writes per item.
 	inbox mpsc
-	// flushReq is set by the progress goroutine when it posts an mkFlushReq,
-	// cleared when the worker handles it; it keeps the inbox from flooding.
-	flushReq atomic.Bool
-	_        [64]byte
+	_     [64]byte
 
 	id   cluster.WorkerID
 	proc cluster.ProcID
@@ -394,10 +436,17 @@ type worker struct {
 	kernel KernelFunc
 	steps  int
 
-	// wwBufs[d] (WW) buffers items for destination worker d.
-	wwBufs []*shmem.SPBuffer[uint64]
-	// wpsBufs[p] (WPs/WsP) buffers items for destination process p.
-	wpsBufs []*shmem.SPBuffer[Item]
+	// owned lists the single-producer buffers this worker fills, one per
+	// route it can reach. bare, tagged and shared are Send's typed views,
+	// indexed by route: New sets the one the plan prescribes — bare payloads
+	// to a destination worker, tagged items to a destination process through
+	// the worker's own buffers, or through its process's shared ones — and
+	// none when nothing is buffered. bypassLocal is Plan.BypassLocal.
+	owned       []ownedSlot
+	bare        []*shmem.SPBuffer[uint64]
+	tagged      []*shmem.SPBuffer[Item]
+	shared      []*shmem.MPBuffer[Item]
+	bypassLocal bool
 
 	// runScratch is reused across mkItems groupings (the worker handles one
 	// message at a time, and runs are consumed before the next grouping).
@@ -442,21 +491,18 @@ type Ctx struct {
 	w  *worker
 }
 
-// procState is per-simulated-process shared state.
-type procState struct {
-	// ppBufs[p] (PP) is the process's shared buffer toward process p.
-	ppBufs []*shmem.MPBuffer[Item]
-}
-
 // Runtime executes kernels over real goroutines. Create with New, then Run.
 type Runtime struct {
 	cfg     Config
 	topo    cluster.Topology
+	plan    core.Plan // the scheme's row of the §III-B table, read once in New
 	deliver DeliverFunc
 
 	workers []*worker
-	procs   []*procState
-	procRR  []atomic.Int32 // receiving-worker round-robin per process
+	// shared[p] lists the multi-producer buffers the workers of process p
+	// fill together (empty unless the plan shares buffers).
+	shared [][]sharedSlot
+	procRR []atomic.Int32 // receiving-worker round-robin per process
 
 	done     chan struct{}
 	doneOnce sync.Once
@@ -468,12 +514,14 @@ type Runtime struct {
 
 	// Serve-mode state (nil/unused otherwise): gates[d] is destination d's
 	// ingress admission window (a channel semaphore: a buffered slot per
-	// admitted-but-undelivered item), ingressBufs[p] aggregates ingress items
-	// bound for remote process p, and flushHist (if installed) observes
-	// realized batch ages at seal.
-	gates       []chan struct{}
-	ingressBufs []*shmem.MPBuffer[Item]
-	flushHist   *stats.AtomicHist
+	// admitted-but-undelivered item), ingress lists the buffers aggregating
+	// admitted events bound for remote processes — ingressTo is admit's view
+	// of them, indexed by destination process — and flushHist (if installed)
+	// observes realized batch ages at seal.
+	gates     []chan struct{}
+	ingress   []sharedSlot
+	ingressTo []*shmem.MPBuffer[Item]
+	flushHist *stats.AtomicHist
 
 	// Adaptive-controller state (nil/zero when Config.Adaptive is off):
 	// routes is the per-destination table (see adaptive.go), adaptive the
@@ -486,6 +534,10 @@ type Runtime struct {
 	msgPool  sync.Pool // *msg
 	u64s     slicePool[uint64]
 	itemsPkd slicePool[Item]
+
+	// parkHook, if set, runs on a worker's goroutine immediately before it
+	// parks. Tests only.
+	parkHook func(*worker)
 
 	// Everything below is written by many goroutines, once per batch; the
 	// pads keep those writes off the lines holding the read-mostly fields
@@ -507,11 +559,14 @@ func New(cfg Config, deliver DeliverFunc, spawn SpawnFunc) *Runtime {
 		panic(err)
 	}
 	topo := cfg.Topo
+	plan := cfg.Scheme.Plan()
 	rt := &Runtime{
 		cfg:     cfg,
 		topo:    topo,
+		plan:    plan,
 		deliver: deliver,
 		done:    make(chan struct{}),
+		shared:  make([][]sharedSlot, topo.TotalProcs()),
 		procRR:  make([]atomic.Int32, topo.TotalProcs()),
 		part:    cfg.Part,
 	}
@@ -523,11 +578,9 @@ func New(cfg Config, deliver DeliverFunc, spawn SpawnFunc) *Runtime {
 	rt.u64s.minCap = minCap
 	rt.itemsPkd.minCap = minCap
 
-	W := topo.TotalWorkers()
-	P := topo.TotalProcs()
 	// In partitioned mode only the local process's workers exist (and spawn
 	// is consulted only for them); slots for remote workers stay nil.
-	rt.workers = make([]*worker, W)
+	rt.workers = make([]*worker, topo.TotalWorkers())
 	local := 0
 	for i := range rt.workers {
 		id := cluster.WorkerID(i)
@@ -540,6 +593,8 @@ func New(cfg Config, deliver DeliverFunc, spawn SpawnFunc) *Runtime {
 			rank: topo.RankInProc(id),
 			rt:   rt,
 			note: make(chan struct{}, 1),
+
+			bypassLocal: plan.BypassLocal,
 		}
 		w.ctx = Ctx{rt: rt, w: w}
 		w.steps, w.kernel = spawn(w.id)
@@ -556,87 +611,114 @@ func New(cfg Config, deliver DeliverFunc, spawn SpawnFunc) *Runtime {
 	// before the run begins (observed on single-CPU hosts).
 	rt.producing.Store(int64(local))
 
-	// Slots that can never receive an item stay nil (scan loops skip them):
-	// Send short-circuits dest == self inline, so wwBufs[w.id] is unused;
-	// the SMP-aware schemes route same-process items through LocalDirect,
-	// so wpsBufs[w.proc] and ppBufs[p][p] are unused.
-	//
-	// A single-producer buffer's emit closure runs on its owner's goroutine
-	// and is where the batch becomes reachable by others, so it settles the
-	// owner's tally first. The shared PP buffers' closures run on whichever
-	// goroutine seals; their items were settled before the push.
-	switch cfg.Scheme {
-	case core.WW:
-		for _, w := range rt.workers {
-			if w == nil {
-				continue
-			}
-			w.wwBufs = make([]*shmem.SPBuffer[uint64], W)
-			for d := range w.wwBufs {
-				if cluster.WorkerID(d) == w.id {
-					continue
-				}
-				dest := cluster.WorkerID(d)
-				b := shmem.NewSPBuffer(cfg.BufferItems, func(bt shmem.Batch[uint64]) {
-					w.settle()
-					rt.noteSeal(int(dest), len(bt.Items), bt.Oldest)
-					rt.emitToWorker(dest, bt.Items, len(bt.Items) == cfg.BufferItems)
-				})
-				b.SetAlloc(rt.allocU64)
-				w.wwBufs[d] = b
-			}
-		}
-	case core.WPs, core.WsP:
-		grouped := cfg.Scheme == core.WsP
-		for _, w := range rt.workers {
-			if w == nil {
-				continue
-			}
-			w := w
-			w.wpsBufs = make([]*shmem.SPBuffer[Item], P)
-			for p := range w.wpsBufs {
-				if cluster.ProcID(p) == w.proc {
-					continue
-				}
-				dst := cluster.ProcID(p)
-				b := shmem.NewSPBuffer(cfg.BufferItems, func(bt shmem.Batch[Item]) {
-					w.settle()
-					rt.noteSeal(int(dst), len(bt.Items), bt.Oldest)
-					rt.emitToProc(w, dst, bt.Items, grouped, len(bt.Items) == cfg.BufferItems)
-				})
-				b.SetAlloc(rt.allocItems)
-				w.wpsBufs[p] = b
-			}
-		}
-	case core.PP:
-		rt.procs = make([]*procState, P)
-		for sp := range rt.procs {
-			if rt.part != nil && cluster.ProcID(sp) != rt.part.Proc {
-				continue
-			}
-			ps := &procState{ppBufs: make([]*shmem.MPBuffer[Item], P)}
-			for p := range ps.ppBufs {
-				if p == sp {
-					continue
-				}
-				dst := cluster.ProcID(p)
-				b := shmem.NewMPBuffer(cfg.BufferItems, func(bt shmem.Batch[Item]) {
-					rt.noteSeal(int(dst), len(bt.Items), bt.Oldest)
-					rt.emitToProc(nil, dst, bt.Items, false, len(bt.Items) == cfg.BufferItems)
-				})
-				b.SetAlloc(rt.allocItems)
-				ps.ppBufs[p] = b
-			}
-			rt.procs[sp] = ps
-		}
+	if plan.Buffered {
+		rt.wireBuffers()
 	}
 	if cfg.Serve {
 		rt.wireServe(cfg)
 	}
-	if cfg.Adaptive.Enabled && cfg.Scheme != core.Direct {
+	if cfg.Adaptive.Enabled && plan.Buffered {
 		rt.wireAdaptive()
 	}
 	return rt
+}
+
+// wireBuffers builds the slot table: for every local owner the plan names — a
+// worker, or a process when buffers are shared — one buffer per route except
+// the owner's own, which never carries an item (Send delivers self items
+// inline under a worker-addressed plan, and bypasses the buffers for the
+// sender's own process under a process-addressed one).
+func (rt *Runtime) wireBuffers() {
+	plan, topo := rt.plan, rt.topo
+	routes := plan.Routes(topo)
+	if plan.Shared {
+		for p := range rt.shared {
+			proc := cluster.ProcID(p)
+			if rt.part != nil && proc != rt.part.Proc {
+				continue
+			}
+			own := plan.Route(topo, topo.FirstWorkerOf(proc))
+			view := make([]*shmem.MPBuffer[Item], routes)
+			for r := range view {
+				if r == own {
+					continue
+				}
+				s := rt.newShared(r, cluster.ProcID(r), false)
+				view[r] = s.buf
+				rt.shared[p] = append(rt.shared[p], s)
+			}
+			for rank := 0; rank < topo.WorkersPerProc; rank++ {
+				rt.workers[topo.WorkerOf(proc, rank)].shared = view
+			}
+		}
+		return
+	}
+	grouped := plan.Group == core.GroupAtSource
+	for _, w := range rt.workers {
+		if w == nil {
+			continue
+		}
+		own := plan.Route(topo, w.id)
+		if plan.ProcRouted {
+			w.tagged = make([]*shmem.SPBuffer[Item], routes)
+		} else {
+			w.bare = make([]*shmem.SPBuffer[uint64], routes)
+		}
+		for r := 0; r < routes; r++ {
+			if r == own {
+				continue
+			}
+			if plan.ProcRouted {
+				dst := cluster.ProcID(r)
+				w.tagged[r] = newOwned(w, r, rt.allocItems, func(items []Item, full bool) {
+					rt.emitToProc(w, dst, items, grouped, full)
+				})
+			} else {
+				dest := cluster.WorkerID(r)
+				w.bare[r] = newOwned(w, r, rt.allocU64, func(payloads []uint64, full bool) {
+					rt.emitToWorker(dest, payloads, full)
+				})
+			}
+		}
+	}
+}
+
+// newOwned builds w's single-producer buffer for route and lists it among the
+// worker's slots. The buffer's emit closure runs on w's goroutine and is where
+// the batch becomes reachable by others, so it settles w's tally first.
+func newOwned[T any](w *worker, route int, alloc shmem.AllocFunc[T], emit func(items []T, full bool)) *shmem.SPBuffer[T] {
+	rt := w.rt
+	g := rt.cfg.BufferItems
+	b := shmem.NewSPBuffer(g, func(bt shmem.Batch[T]) {
+		w.settle()
+		rt.noteSeal(route, len(bt.Items), bt.Oldest)
+		emit(bt.Items, len(bt.Items) == g)
+	})
+	b.SetAlloc(alloc)
+	w.owned = append(w.owned, ownedSlot{route: route, buf: b})
+	return b
+}
+
+// newShared builds one multi-producer buffer toward process dst, its seals
+// attributed to route. Its emit closure runs on whichever goroutine seals; the
+// items were settled before the push. An ingress buffer holds admitted
+// external events, whose credits release at the seal — the hand-off to the
+// transport.
+func (rt *Runtime) newShared(route int, dst cluster.ProcID, ingress bool) sharedSlot {
+	g := rt.cfg.BufferItems
+	b := shmem.NewMPBuffer(g, func(bt shmem.Batch[Item]) {
+		rt.noteSeal(route, len(bt.Items), bt.Oldest)
+		if ingress {
+			// Read the dests before emitToProc, which consumes (and may
+			// recycle) the slice.
+			for _, it := range bt.Items {
+				rt.releaseIngress(it.Dest)
+			}
+		}
+		rt.emitToProc(nil, dst, bt.Items, false, len(bt.Items) == g)
+	})
+	b.SetAlloc(rt.allocItems)
+	return sharedSlot{route: route, buf: b}
 }
 
 // Run launches every (local) worker goroutine plus the progress goroutine
@@ -676,6 +758,7 @@ func (rt *Runtime) Run() Result {
 		FullBatches:     c.FullBatches,
 		Flushes:         c.Flushes,
 		DeadlineFlushes: c.DeadlineFlushes,
+		SelfItems:       c.SelfItems,
 		LocalDirect:     c.LocalDirect,
 		RemoteSent:      c.RemoteSent,
 		RemoteRecv:      c.RemoteRecv,
@@ -960,38 +1043,39 @@ func (c *Ctx) Send(dest cluster.WorkerID, value uint64) {
 
 	w.unsettled++
 	dstProc := rt.topo.ProcOf(dest)
-	scheme := rt.cfg.Scheme
-	if scheme != core.Direct && scheme != core.WW && dstProc == w.proc {
+	if w.bypassLocal && dstProc == w.proc {
 		// SMP-aware local path: direct unbuffered delivery.
 		w.sent[cLocalDirect]++
 		w.postInline(dest, value)
 		return
 	}
 
-	switch scheme {
-	case core.Direct:
-		w.postInline(dest, value)
-	case core.WW:
+	// The worker's typed view of its slots says where the item goes, and the
+	// buffer index is the route index.
+	switch {
+	case w.bare != nil:
 		if rt.routes != nil && w.routeSend(int(dest), dest, value) {
 			return
 		}
-		w.wwBufs[dest].Push(value)
-	case core.WPs, core.WsP:
+		w.bare[dest].Push(value)
+	case w.tagged != nil:
 		if rt.routes != nil && w.routeSend(int(dstProc), dest, value) {
 			return
 		}
-		w.wpsBufs[dstProc].Push(Item{Dest: dest, Val: value})
-	case core.PP:
+		w.tagged[dstProc].Push(Item{Dest: dest, Val: value})
+	case w.shared != nil:
 		if rt.routes != nil && w.routeSend(int(dstProc), dest, value) {
 			return
 		}
 		w.settle()
-		rt.procs[w.proc].ppBufs[dstProc].Push(Item{Dest: dest, Val: value})
+		w.shared[dstProc].Push(Item{Dest: dest, Val: value})
+	default:
+		w.postInline(dest, value)
 	}
 }
 
-// Flush force-seals every buffer the calling worker owns (and, for PP, its
-// process's shared buffers) — the explicit end-of-phase flush of the paper.
+// Flush force-seals every buffer the calling worker fills — its own and its
+// process's shared ones — the explicit end-of-phase flush of the paper.
 func (c *Ctx) Flush() { c.w.flushOwn(); c.rt.flushProc(c.w.proc) }
 
 // Post schedules fn to run later on this worker's goroutine, after currently
@@ -1048,10 +1132,10 @@ func (w *worker) run() {
 		rt.checkQuiesce()
 	}
 	for {
-		if w.drain() {
-			continue
-		}
-		if w.runLocal() {
+		if w.drain() || w.runLocal() {
+			// Still running: what the handlers and tasks buffered is this
+			// worker's to keep within the deadline, as between kernel chunks.
+			w.deadlineFlush()
 			continue
 		}
 		// Idle: everything delivered locally and no local tasks pending;
@@ -1063,7 +1147,13 @@ func (w *worker) run() {
 			continue
 		}
 		// Nothing is unsettled here: in this phase sends come only from
-		// handlers and posted tasks, and each ends in w.finish.
+		// handlers and posted tasks, and each ends in w.finish. And nothing
+		// is buffered in a slot this worker owns: the flush above emptied
+		// them and no handler has run since — the invariant that lets the
+		// deadline live with the owner (see the package comment).
+		if rt.parkHook != nil {
+			rt.parkHook(w)
+		}
 		select {
 		case <-w.note:
 		case <-rt.done:
@@ -1084,9 +1174,6 @@ func (w *worker) runLocal() bool {
 		return false
 	}
 	limit := w.rt.cfg.ChunkSize
-	if limit <= 0 {
-		limit = 1
-	}
 	ran := 0
 	for ; ran < limit && w.hasLocal(); ran++ {
 		fn := w.local[w.localHead]
@@ -1110,17 +1197,22 @@ func (w *worker) runLocal() bool {
 }
 
 // drain processes every currently queued inbox message, reporting whether
-// any was handled.
+// any was handled. A chain longer than a scheduler slot (ChunkSize messages)
+// re-checks the deadline between slots; the caller checks after the chain.
 func (w *worker) drain() bool {
 	m := w.inbox.popAll()
 	if m == nil {
 		return false
 	}
-	for m != nil {
+	chunk := w.rt.cfg.ChunkSize
+	for n := 1; m != nil; n++ {
 		next := m.next
 		m.next = nil
 		w.handle(m)
 		m = next
+		if n%chunk == 0 && m != nil {
+			w.deadlineFlush()
+		}
 	}
 	return true
 }
@@ -1161,11 +1253,6 @@ func (w *worker) handle(m *msg) {
 		// Source-grouped (WsP): just scatter the runs.
 		runs := m.runs
 		w.scatterRuns(runs)
-		rt.putMsg(m)
-
-	case mkFlushReq:
-		w.flushReq.Store(false)
-		w.deadlineFlush()
 		rt.putMsg(m)
 	}
 }
@@ -1272,36 +1359,25 @@ func (rt *Runtime) checkQuiesce() {
 
 // flushOwn seals every non-empty single-producer buffer the worker owns.
 func (w *worker) flushOwn() {
-	for _, b := range w.wwBufs {
-		if b != nil {
-			b.Flush()
-		}
-	}
-	for _, b := range w.wpsBufs {
-		if b != nil {
-			b.Flush()
-		}
+	for _, s := range w.owned {
+		s.buf.Flush()
 	}
 }
 
-// flushProc flushes process p's shared PP buffers; safe from any goroutine.
-func (rt *Runtime) flushProc(p cluster.ProcID) {
-	if rt.procs == nil {
-		return
-	}
-	for _, b := range rt.procs[p].ppBufs {
-		if b != nil {
-			b.Flush()
-		}
+// flushProc flushes the buffers process p's workers share; safe from any
+// goroutine.
+func (rt *Runtime) flushProc(p cluster.ProcID) { flushShared(rt.shared[p]) }
+
+func flushShared(slots []sharedSlot) {
+	for _, s := range slots {
+		s.buf.Flush()
 	}
 }
 
-// deadlineFlush seals the worker's single-producer buffers, and its process's
-// shared PP buffers, whose oldest item has exceeded the latency bound — the
-// static FlushDeadline, or the buffer's route deadline when the adaptive
-// controller is steering. The buffer index IS the route index for every
-// layout (wwBufs by destination worker under WW, wpsBufs and ppBufs by
-// destination process), so the per-destination bound needs no extra mapping.
+// deadlineFlush seals the buffers this worker fills — its own, its process's
+// shared ones and, on a serve frontend, the ingress ones — whose oldest item
+// has exceeded the latency bound: the static FlushDeadline, or the slot's
+// route deadline when the adaptive controller is steering.
 func (w *worker) deadlineFlush() {
 	rt := w.rt
 	d := rt.cfg.FlushDeadline
@@ -1310,39 +1386,23 @@ func (w *worker) deadlineFlush() {
 	}
 	now := time.Now().UnixNano()
 	cutoff := now - int64(d)
-	for i, b := range w.wwBufs {
-		if b == nil {
-			continue
-		}
-		if o := b.OldestNanos(); o != 0 && o <= rt.routeCutoff(i, now, cutoff) {
-			b.Flush()
+	for _, s := range w.owned {
+		if o := s.buf.OldestNanos(); o != 0 && o <= rt.routeCutoff(s.route, now, cutoff) {
+			s.buf.Flush()
 			rt.M.DeadlineFlushes.Add(1)
 		}
 	}
-	for i, b := range w.wpsBufs {
-		if b == nil {
-			continue
-		}
-		if o := b.OldestNanos(); o != 0 && o <= rt.routeCutoff(i, now, cutoff) {
-			b.Flush()
-			rt.M.DeadlineFlushes.Add(1)
-		}
-	}
-	if rt.procs != nil {
-		rt.deadlineFlushShared(rt.procs[w.proc], now, cutoff)
-	}
+	rt.deadlineFlushShared(rt.shared[w.proc], now, cutoff)
+	rt.deadlineFlushShared(rt.ingress, now, cutoff)
 }
 
-// deadlineFlushShared seals the shared PP buffers of one process whose oldest
-// item is past its bound (the route deadline when adaptive, else the static
-// cutoff). Safe from any goroutine: every worker of the process runs it
-// between chunks, and the progress goroutine behind them.
-func (rt *Runtime) deadlineFlushShared(ps *procState, nowNs, cutoff int64) {
-	for p, b := range ps.ppBufs {
-		if b == nil {
-			continue
-		}
-		if b.FlushIfOlder(rt.routeCutoff(p, nowNs, cutoff)) {
+// deadlineFlushShared seals the multi-producer buffers among slots whose
+// oldest item is past its bound. Safe from any goroutine: every worker filling
+// them runs it once per scheduler slot, and the progress goroutine behind
+// them.
+func (rt *Runtime) deadlineFlushShared(slots []sharedSlot, nowNs, cutoff int64) {
+	for _, s := range slots {
+		if s.buf.FlushIfOlder(rt.routeCutoff(s.route, nowNs, cutoff)) {
 			rt.M.DeadlineFlushes.Add(1)
 		}
 	}
@@ -1350,17 +1410,21 @@ func (rt *Runtime) deadlineFlushShared(ps *procState, nowNs, cutoff int64) {
 
 // routeCutoff returns the arrival stamp at or before which a buffer feeding
 // route ri is overdue: now minus the route's deadline when the adaptive
-// controller is steering, else the caller's precomputed static cutoff.
+// controller is steering it, else the caller's precomputed static cutoff
+// (also for ri < 0, a buffer no single route accounts for).
 func (rt *Runtime) routeCutoff(ri int, nowNs, cutoff int64) int64 {
-	if rt.routes != nil {
+	if rt.routes != nil && ri >= 0 {
 		return nowNs - rt.routeDeadlineNs(ri)
 	}
 	return cutoff
 }
 
-// progress is the latency-sensitive progress goroutine: it enforces
-// FlushDeadline across all buffers until quiescence, and — when adaptive
-// aggregation is on — runs the controller's policy ticks.
+// progress is the latency-sensitive progress goroutine: until quiescence it
+// is the deadline backstop for shared buffers — those of processes whose
+// workers are all parked or held inside a kernel step, and the ingress
+// buffers, which no worker fills — and, when adaptive aggregation is on, it
+// runs the controller's policy ticks. Single-producer buffers are their
+// owners' business (see the package comment).
 func (rt *Runtime) progress() {
 	period := rt.cfg.FlushDeadline / 2
 	if rt.routes != nil {
@@ -1388,69 +1452,12 @@ func (rt *Runtime) progress() {
 		now := time.Now()
 		nowNs := now.UnixNano()
 		cutoff := nowNs - int64(rt.cfg.FlushDeadline)
-		// Ingress aggregation buffers (serve mode) are multi-producer and can
-		// be flushed from here directly, like the PP buffers below. They are
-		// process-addressed, so under the proc-routed schemes their index is
-		// a route index; under WW (worker-routed) they keep the static bound.
-		ingressRouted := rt.routes != nil && rt.cfg.Scheme != core.WW
-		for p, b := range rt.ingressBufs {
-			if b == nil {
-				continue
-			}
-			c := cutoff
-			if ingressRouted {
-				c = nowNs - rt.routeDeadlineNs(p)
-			}
-			if b.FlushIfOlder(c) {
-				rt.M.DeadlineFlushes.Add(1)
-			}
+		for _, slots := range rt.shared {
+			rt.deadlineFlushShared(slots, nowNs, cutoff)
 		}
-		// Shared PP buffers can be flushed from here directly: the backstop
-		// for processes whose workers are parked or stuck in a kernel step
-		// (running workers get there first, in deadlineFlush).
-		for _, ps := range rt.procs {
-			if ps != nil {
-				rt.deadlineFlushShared(ps, nowNs, cutoff)
-			}
-		}
-		// Single-producer buffers belong to their workers: post one flush
-		// request per worker holding overdue items (it wakes parked owners).
-		for _, w := range rt.workers {
-			if w == nil || w.flushReq.Load() || !w.overdue(nowNs, cutoff) {
-				continue
-			}
-			if w.flushReq.CompareAndSwap(false, true) {
-				m := rt.getMsg()
-				m.kind = mkFlushReq
-				rt.post(w, m)
-			}
-		}
+		rt.deadlineFlushShared(rt.ingress, nowNs, cutoff)
 		if rt.routes != nil && now.Sub(rt.ctlLast) >= rt.adaptive.Interval {
 			rt.controlTick(now)
 		}
 	}
-}
-
-// overdue reports whether any of w's single-producer buffers holds an item
-// past its deadline (the route deadline when adaptive, else the static
-// cutoff precomputed by the caller).
-func (w *worker) overdue(nowNs, cutoff int64) bool {
-	rt := w.rt
-	for i, b := range w.wwBufs {
-		if b == nil {
-			continue
-		}
-		if o := b.OldestNanos(); o != 0 && o <= rt.routeCutoff(i, nowNs, cutoff) {
-			return true
-		}
-	}
-	for i, b := range w.wpsBufs {
-		if b == nil {
-			continue
-		}
-		if o := b.OldestNanos(); o != 0 && o <= rt.routeCutoff(i, nowNs, cutoff) {
-			return true
-		}
-	}
-	return false
 }

@@ -22,9 +22,10 @@
 // In partitioned serve mode (the Dist frontend process), ingress items bound
 // for remote processes aggregate in a dedicated multi-producer buffer per
 // destination process — frontend connection goroutines are not workers and
-// own no single-producer buffers — sealed by occupancy or by the progress
-// goroutine's deadline, then shipped through Part.Remote like any other
-// batch. Their credits release at hand-off to the transport, whose links are
+// own no single-producer buffers — sealed by occupancy or by the deadline
+// (the frontend's workers check them with the shared buffers they fill, the
+// progress goroutine behind them), then shipped through Part.Remote like any
+// other batch. Their credits release at hand-off to the transport, whose links are
 // bounded by construction, so the end-to-end admitted-but-unsent bound per
 // destination is IngressCap + one sealing batch.
 package rt
@@ -35,7 +36,6 @@ import (
 	"time"
 
 	"tramlib/internal/cluster"
-	"tramlib/internal/core"
 	"tramlib/internal/shmem"
 	"tramlib/internal/stats"
 )
@@ -62,32 +62,23 @@ func (rt *Runtime) wireServe(cfg Config) {
 	for i := range rt.gates {
 		rt.gates[i] = make(chan struct{}, cap)
 	}
-	if rt.part != nil && cfg.Scheme != core.Direct {
-		rt.ingressBufs = make([]*shmem.MPBuffer[Item], rt.topo.TotalProcs())
-		for p := range rt.ingressBufs {
+	if rt.part != nil && rt.plan.Buffered {
+		rt.ingressTo = make([]*shmem.MPBuffer[Item], rt.topo.TotalProcs())
+		for p := range rt.ingressTo {
 			if cluster.ProcID(p) == rt.part.Proc {
 				continue
 			}
-			dst := cluster.ProcID(p)
-			// Ingress buffers are process-addressed: under the proc-routed
-			// schemes their seals feed route dst's accounting; under WW the
-			// route space is per worker, so they only feed the global hist.
-			ri := int(dst)
-			if cfg.Scheme == core.WW {
-				ri = -1
+			// Ingress buffers are process-addressed: under a process-addressed
+			// plan their index is a route and their seals feed its accounting
+			// and deadline; under a worker-addressed one no single route
+			// accounts for them and they keep the static bound.
+			route := -1
+			if rt.plan.ProcRouted {
+				route = p
 			}
-			b := shmem.NewMPBuffer(cfg.BufferItems, func(bt shmem.Batch[Item]) {
-				rt.noteSeal(ri, len(bt.Items), bt.Oldest)
-				// Credits release at transport hand-off: read the dests
-				// before emitToProc, which consumes (and may recycle) the
-				// slice.
-				for _, it := range bt.Items {
-					rt.releaseIngress(it.Dest)
-				}
-				rt.emitToProc(nil, dst, bt.Items, false, len(bt.Items) == cfg.BufferItems)
-			})
-			b.SetAlloc(rt.allocItems)
-			rt.ingressBufs[p] = b
+			s := rt.newShared(route, cluster.ProcID(p), true)
+			rt.ingressTo[p] = s.buf
+			rt.ingress = append(rt.ingress, s)
 		}
 	}
 }
@@ -158,16 +149,14 @@ func (rt *Runtime) admit(dest cluster.WorkerID, value uint64) {
 		// count the event on the destination's route and honor its framing.
 		direct := false
 		if rt.routes != nil {
-			r := &rt.routes[rt.routeIndex(dest)]
+			r := &rt.routes[rt.plan.Route(rt.topo, dest)]
 			r.events.Add(1)
 			direct = r.direct.Load()
 		}
-		// ingressBufs is nil under the Direct scheme (nothing aggregates).
-		if !direct && rt.ingressBufs != nil {
-			if b := rt.ingressBufs[rt.topo.ProcOf(dest)]; b != nil {
-				b.Push(Item{Dest: dest, Val: value})
-				return
-			}
+		// ingressTo is nil when the plan buffers nothing.
+		if !direct && rt.ingressTo != nil {
+			rt.ingressTo[rt.topo.ProcOf(dest)].Push(Item{Dest: dest, Val: value})
+			return
 		}
 		// Direct framing (the Direct scheme, or an adaptive route below the
 		// amortization threshold): one wire message per event, credit
@@ -200,13 +189,7 @@ func (rt *Runtime) releaseIngress(dest cluster.WorkerID) {
 // FlushIngress force-seals every partial ingress aggregation buffer (the
 // drain sequence calls it after the frontend stops admitting, so the tail of
 // the stream doesn't wait out the deadline). Safe from any goroutine.
-func (rt *Runtime) FlushIngress() {
-	for _, b := range rt.ingressBufs {
-		if b != nil {
-			b.Flush()
-		}
-	}
-}
+func (rt *Runtime) FlushIngress() { flushShared(rt.ingress) }
 
 // IngressOccupancy returns the number of admitted-but-undelivered ingress
 // events currently held against worker dest, and the window capacity. Safe

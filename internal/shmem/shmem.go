@@ -30,13 +30,14 @@
 // # Latency-bound hooks
 //
 // Both buffer types track when their oldest buffered item arrived
-// (OldestNanos, a wall-clock nanosecond stamp readable from any goroutine).
-// A latency-sensitive progress loop — internal/rt's progress goroutine —
-// polls the stamp and force-flushes buffers that have held items longer than
-// the paper's §III delivery deadline. MPBuffer.FlushIfOlder performs the
-// check-and-flush directly (Flush is safe from any goroutine); SPBuffer is
-// single-producer, so the progress loop instead signals the owning worker,
-// which compares OldestNanos itself and calls Flush.
+// (OldestNanos, a wall-clock nanosecond stamp readable from any goroutine),
+// so that whoever fills a buffer can seal it once it has held items longer
+// than the paper's §III delivery deadline. An SPBuffer's owner — in
+// internal/rt, the worker goroutine — compares OldestNanos itself, once per
+// scheduler slot, and calls Flush. MPBuffer.FlushIfOlder performs the
+// check-and-flush in one step and is safe from any goroutine: internal/rt's
+// workers call it on the buffers their process shares, and its progress
+// goroutine behind them, for when every filler is parked.
 //
 // # Adaptive seal targets
 //
@@ -172,7 +173,7 @@ func (b *SPBuffer[T]) Len() int { return len(b.items) }
 
 // OldestNanos returns the UnixNano arrival stamp of the buffer's oldest
 // undelivered item, or 0 if the buffer is empty. Safe from any goroutine;
-// internal/rt's progress goroutine uses it to enforce the delivery deadline.
+// the owner uses it to enforce the delivery deadline.
 func (b *SPBuffer[T]) OldestNanos() int64 { return b.first.Load() }
 
 // epoch is one generation of the multi-producer buffer.
@@ -279,8 +280,7 @@ func (b *MPBuffer[T]) OldestNanos() int64 { return b.cur.Load().first.Load() }
 
 // FlushIfOlder flushes the buffer iff its oldest item arrived at or before
 // cutoff (UnixNano), reporting whether a batch was actually emitted. This is
-// the progress goroutine's deadline enforcement: safe concurrently with
-// Push. The age check is re-validated under the flush lock, so an epoch that
+// the deadline enforcement for a shared buffer: safe concurrently with Push. The age check is re-validated under the flush lock, so an epoch that
 // seals and rotates between the caller's observation and the flush is never
 // flushed prematurely — only the epoch whose first item really is overdue.
 func (b *MPBuffer[T]) FlushIfOlder(cutoff int64) bool {

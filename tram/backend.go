@@ -27,9 +27,13 @@ type Metrics struct {
 	Wall time.Duration
 
 	// Inserted counts items submitted; Delivered counts items handed to
-	// the application (they are equal at quiescence). LocalDirect counts
-	// items delivered unbuffered through the SMP-aware same-process path.
-	Inserted, Delivered, LocalDirect int64
+	// the application (they are equal at quiescence). SelfItems counts
+	// items a worker sent to itself, delivered inline; LocalDirect counts
+	// items delivered unbuffered through the SMP-aware same-process path —
+	// items for another worker of the sender's process, self items
+	// excluded. Both mean the same on every backend, and
+	// Delivered − SelfItems − LocalDirect items travelled in Batches.
+	Inserted, Delivered, SelfItems, LocalDirect int64
 	// Batches counts aggregated messages; FullMsgs of them sealed because
 	// a buffer filled, FlushMsgs by an explicit/idle/timeout flush, and
 	// DeadlineFlushes (Real) by the FlushDeadline latency bound.
@@ -62,8 +66,8 @@ type Metrics struct {
 var Sim Backend = simBackend{}
 
 // Real is the measured backend: one goroutine per worker over the lock-free
-// shared-memory aggregation buffers, with the deadline-flushing progress
-// goroutine. Metrics are host wall-clock.
+// shared-memory aggregation buffers, each held to the FlushDeadline by the
+// goroutines that fill it. Metrics are host wall-clock.
 var Real Backend = realBackend{}
 
 // --- simulated backend ---
@@ -157,6 +161,7 @@ func (simBackend) run(cfg Config, app rawApp) (Metrics, error) {
 		Wall:          time.Since(start),
 		Inserted:      lm.Inserted.Value(),
 		Delivered:     lm.Delivered.Value(),
+		SelfItems:     lm.SelfItems.Value(),
 		LocalDirect:   lm.LocalDirect.Value(),
 		Batches:       lm.RemoteMsgs.Value() + lm.LocalMsgs.Value(),
 		FullMsgs:      lm.FullMsgs.Value(),
@@ -282,19 +287,26 @@ func (realBackend) run(cfg Config, app rawApp) (Metrics, error) {
 	}
 	b := newRTBinding(cfg.Topo.TotalWorkers())
 	rtm := rt.New(cfg.realConfig(), b.deliverFunc(app), b.spawnFunc(app))
-	res := rtm.Run()
+	return realMetrics(rtm.Run()), nil
+}
 
-	return Metrics{
-		Time:            res.Wall,
-		LastDelivery:    res.Wall,
-		Wall:            res.Wall,
-		Inserted:        res.Inserted,
-		Delivered:       res.Delivered,
-		LocalDirect:     res.LocalDirect,
-		Batches:         res.Batches,
-		FullMsgs:        res.FullBatches,
-		FlushMsgs:       res.Flushes,
-		DeadlineFlushes: res.DeadlineFlushes,
-		Reduced:         res.Reduced,
-	}, nil
+// realMetrics reports a whole-topology run of the goroutine runtime.
+func realMetrics(res rt.Result) Metrics {
+	m := Metrics{Time: res.Wall, LastDelivery: res.Wall, Wall: res.Wall}
+	m.addRT(res)
+	return m
+}
+
+// addRT adds one runtime's counters to m: the whole run's on Real, one
+// process's share on Dist.
+func (m *Metrics) addRT(res rt.Result) {
+	m.Inserted += res.Inserted
+	m.Delivered += res.Delivered
+	m.SelfItems += res.SelfItems
+	m.LocalDirect += res.LocalDirect
+	m.Batches += res.Batches
+	m.FullMsgs += res.FullBatches
+	m.FlushMsgs += res.Flushes
+	m.DeadlineFlushes += res.DeadlineFlushes
+	m.Reduced += res.Reduced
 }

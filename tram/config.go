@@ -20,7 +20,11 @@ type Config struct {
 	// it over the discrete-event network; the Real backend runs one
 	// goroutine per worker on the host.
 	Topo Topology
-	// Scheme selects the aggregation buffer wiring (§III-B).
+	// Scheme selects the aggregation buffer wiring (§III-B). It decides, on
+	// every backend alike, what a buffer is addressed to, who fills it, where
+	// items are grouped, and whether same-process items bypass the buffers
+	// (every scheme but WW, the SMP-unaware one) — nothing else in Config
+	// overrides any of that.
 	Scheme Scheme
 	// BufferItems is g: the number of items a buffer holds before it is
 	// sent automatically.
@@ -34,10 +38,6 @@ type Config struct {
 	// MsgHeaderBytes is the fixed envelope size of an aggregated message.
 	// Sim only.
 	MsgHeaderBytes int
-	// BufferLocal also aggregates items whose destination lives in the
-	// sender's own process. True for WW (the SMP-unaware scheme); the
-	// SMP-aware schemes deliver same-process items directly.
-	BufferLocal bool
 	// TrackLatency records per-item insert→delivery latency into
 	// Metrics.Latency. Sim only (real-clock latency is an application
 	// concern: timestamp items via Ctx.Now, as the index-gather kernel
@@ -60,13 +60,15 @@ type Config struct {
 	Net NetParams
 
 	// FlushDeadline is the paper's latency bound on the Real and Dist
-	// backends: the longest an item may sit in a buffer before the progress
-	// goroutine force-flushes it (wall clock). 0 disables deadline
-	// flushing. The Sim backend's timeout flush is FlushTimeout.
+	// backends: the longest an item may sit in a buffer (wall clock) before
+	// the buffer's owner seals it — the worker filling it, checked once per
+	// scheduler slot, with the progress goroutine behind the shared buffers of
+	// parked processes. 0 disables deadline flushing. The Sim backend's
+	// timeout flush is FlushTimeout.
 	FlushDeadline time.Duration
 	// ChunkSize is the number of generation steps (and, on the Real
-	// backend, posted local tasks) a worker runs per scheduler slot,
-	// between message drains.
+	// backend, posted local tasks or delivered messages) a worker runs per
+	// scheduler slot, between message drains and deadline checks.
 	ChunkSize int
 
 	// Adaptive configures per-destination adaptive aggregation on the Real
@@ -260,9 +262,8 @@ type DistOptions struct {
 }
 
 // DefaultConfig returns the configuration the paper's main experiments use
-// at the given topology and scheme: g=1024, 8-byte items, SMP-aware local
-// delivery except for WW, a 1 ms real-runtime flush deadline, and the
-// calibrated cost model. The sim-side fields are identical to
+// at the given topology and scheme: g=1024, 8-byte items, a 1 ms real-runtime
+// flush deadline, and the calibrated cost model. The sim-side fields are identical to
 // internal/core's DefaultConfig and the real-side fields to internal/rt's
 // DefaultConfig (asserted by tests).
 func DefaultConfig(topo Topology, scheme Scheme) Config {
@@ -273,7 +274,6 @@ func DefaultConfig(topo Topology, scheme Scheme) Config {
 		ItemBytes:      8,
 		WorkerTagBytes: 2,
 		MsgHeaderBytes: 64,
-		BufferLocal:    scheme == WW,
 		Costs:          DefaultCosts(),
 		Net:            DefaultNetParams(),
 		FlushDeadline:  time.Millisecond,
@@ -292,7 +292,6 @@ func (c Config) simConfig() core.Config {
 		FlushOnIdle:    c.FlushOnIdle,
 		FlushTimeout:   sim.Time(c.FlushTimeout),
 		FlushBurst:     c.FlushBurst,
-		BufferLocal:    c.BufferLocal,
 		TrackLatency:   c.TrackLatency,
 		Costs:          c.Costs,
 	}

@@ -150,6 +150,32 @@ func TestConformanceHistogram(t *testing.T) {
 				}
 			}
 		}
+
+		// The item counters mean the same thing on every backend, so each
+		// cell must report what the replay says for its topology: every item
+		// inserted and delivered, self items apart, and exactly the
+		// same-process items in LocalDirect when the scheme's plan bypasses
+		// the buffers for them (none otherwise).
+		run := cfg.Tram.Topo // hierarchical cells run on hierTopo
+		var self, local int64
+		for w := 0; w < W; w++ {
+			r := rng.NewStream(seed, w)
+			for i := 0; i < z; i++ {
+				switch dest := tram.WorkerID(r.Uint64() % uint64(W)); {
+				case dest == tram.WorkerID(w):
+					self++
+				case run.ProcOf(dest) == run.ProcOf(tram.WorkerID(w)):
+					local++
+				}
+			}
+		}
+		if !s.Plan().BypassLocal {
+			local = 0
+		}
+		if m := res.M; m.Inserted != int64(W)*z || m.Delivered != int64(W)*z || m.SelfItems != self || m.LocalDirect != local {
+			t.Fatalf("inserted %d delivered %d self %d local-direct %d, want %d %d %d %d",
+				m.Inserted, m.Delivered, m.SelfItems, m.LocalDirect, int64(W)*z, int64(W)*z, self, local)
+		}
 	})
 }
 

@@ -233,14 +233,7 @@ func distMetrics(res dist.Result, start time.Time) Metrics {
 	}
 	for p, pr := range res.Procs {
 		m.Reports[p] = pr.Report
-		m.Inserted += pr.RT.Inserted
-		m.Delivered += pr.RT.Delivered
-		m.LocalDirect += pr.RT.LocalDirect
-		m.Batches += pr.RT.Batches
-		m.FullMsgs += pr.RT.FullBatches
-		m.FlushMsgs += pr.RT.Flushes
-		m.DeadlineFlushes += pr.RT.DeadlineFlushes
-		m.Reduced += pr.RT.Reduced
+		m.addRT(pr.RT)
 	}
 	return m
 }

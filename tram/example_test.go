@@ -42,7 +42,7 @@ func Example() {
 	}
 	fmt.Printf("delivered %d of %d items\n", m.Reduced, m.Inserted)
 	fmt.Printf("aggregated into %d batches (%.0f items each on average)\n",
-		m.Batches, float64(m.Delivered-m.LocalDirect)/float64(m.Batches))
+		m.Batches, float64(m.Delivered-m.SelfItems-m.LocalDirect)/float64(m.Batches))
 	// Output:
 	// delivered 160000 of 160000 items
 	// aggregated into 1930 batches (62 items each on average)

@@ -140,20 +140,7 @@ func (realBackend) serve(cfg Config, app rawApp) (*Server, error) {
 		}
 		rtm.Stop()
 		fe.Close()
-		res := <-resC
-		return Metrics{
-			Time:            res.Wall,
-			LastDelivery:    res.Wall,
-			Wall:            res.Wall,
-			Inserted:        res.Inserted,
-			Delivered:       res.Delivered,
-			LocalDirect:     res.LocalDirect,
-			Batches:         res.Batches,
-			FullMsgs:        res.FullBatches,
-			FlushMsgs:       res.Flushes,
-			DeadlineFlushes: res.DeadlineFlushes,
-			Reduced:         res.Reduced,
-		}, nil
+		return realMetrics(<-resC), nil
 	}
 	srv.killFn = func(int) error {
 		return fmt.Errorf("tram: KillWorker needs the Dist backend (the Real backend has one process)")
