@@ -30,9 +30,12 @@ tier_test() {
 }
 
 # The real-concurrency layers under the race detector: the public surface,
-# the lock-free buffers, the goroutine runtime, the parallel harness.
+# the lock-free buffers, the goroutine runtime, the parallel harness. The
+# runtime's in-flight and lane invariants then run repeatedly: their
+# concurrent halves catch an ordering bug only on some interleavings.
 tier_race() {
   go test -race ./tram/ ./internal/shmem/ ./internal/rt/ ./internal/bench/
+  go test -race ./internal/rt/ -run 'Settle|Lane|Parks|Quiesce|Slot' -count=20
 }
 
 # The multi-process backend with real subprocesses: framing, transports and

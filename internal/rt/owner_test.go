@@ -103,7 +103,7 @@ func TestConsumePhaseDeadlineOwnerDriven(t *testing.T) {
 // TestWorkerParksWithEmptyOwnedBuffers samples, at every park of a
 // request/response run, the invariant that makes a flush-request path from
 // the progress goroutine unnecessary: a parking worker holds nothing in a
-// buffer it owns.
+// buffer it owns, nor in a lane.
 func TestWorkerParksWithEmptyOwnedBuffers(t *testing.T) {
 	topo := cluster.SMP(2, 2, 2)
 	W := topo.TotalWorkers()
@@ -136,6 +136,11 @@ func TestWorkerParksWithEmptyOwnedBuffers(t *testing.T) {
 				for _, slot := range w.owned {
 					if slot.buf.OldestNanos() != 0 {
 						t.Errorf("worker %d parks with items buffered for route %d", w.id, slot.route)
+					}
+				}
+				for r, lane := range w.lanes {
+					if lane != nil {
+						t.Errorf("worker %d parks holding %d items for sibling rank %d", w.id, len(lane), r)
 					}
 				}
 			}

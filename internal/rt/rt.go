@@ -22,6 +22,14 @@
 //     under every process-addressed plan, and are buffered under WW, the
 //     SMP-unaware scheme; Direct buffers nothing.
 //
+// A bypassing item is not sent on its own either: it joins a lane, one per
+// sibling of the sender, indexed by the sibling's rank — plain memory only the
+// sender touches, at most BufferItems items. The worker hands each non-empty
+// lane to its sibling as one worker-addressed message when its scheduler slot
+// ends (see the latency bound below) and when a lane fills. A lane has no
+// deadline and is not an aggregation buffer: its posts are not counted as
+// batches, and its items count as LocalDirect exactly as before.
+//
 // Self items are delivered inline on every plan — mirroring core.Lib.Insert.
 // The one route an owner never uses is its own (its own worker under WW, its
 // own process otherwise), so that slot does not exist. Ctx.Send pushes through
@@ -69,7 +77,8 @@
 // worker tallies its sends (and Ctx.Post tasks) in a private unsettled count
 // and settles — adds the tally to inflight — only where an item becomes
 // reachable by another goroutine: in its single-producer buffers' emit
-// closures, before postInline, and before a push into a shared MPBuffer.
+// closures, before postInline, before a push into a shared MPBuffer, and
+// before it posts a lane.
 // Retiring a delivered batch and settling the sends its DeliverFuncs issued
 // is a single add of (unsettled − n). The settle-before-publish invariant:
 //
@@ -79,7 +88,8 @@
 //     inside a handler (or posted task) whose batch is still counted;
 //   - every worker settles before producing.Add(-1), and past that point its
 //     handlers and posted tasks each end by settling, so it parks with
-//     nothing unsettled.
+//     nothing unsettled — and, since the same points post the lanes, with
+//     every lane empty.
 //
 // Hence producing == 0 && inflight == 0 still implies that no item exists
 // anywhere, zero is reached only by a decrement (no wake-up is lost), and
@@ -123,7 +133,13 @@
 //     owner runs (generation and consume phase; for a shared buffer, while
 //     any worker of the process does);
 //   - ≤ FlushDeadline + tick (the progress goroutine's period,
-//     FlushDeadline/2) for shared buffers of parked processes.
+//     FlushDeadline/2) for shared buffers of parked processes;
+//   - ≤ one scheduler slot of its sender for a same-process item under a
+//     bypassing plan, with no deadline involved: the worker posts its lanes
+//     after every kernel chunk, at the end of every delivered batch and
+//     posted task (worker.finish), and in its flush (Ctx.Flush, the idle
+//     flush, the flush before it leaves the generation phase). That is the
+//     granularity at which a running sibling drains its inbox anyway.
 //
 // No request path exists from the progress goroutine to a worker, and none
 // is needed: a worker never parks with a non-empty owned buffer — flushing
@@ -147,7 +163,13 @@
 // with it. The receiving worker returns the slice (and the message node
 // wrapping it) to the runtime's pools after delivering its items; the
 // buffers' SetAlloc hooks draw replacement storage from the same pools, so
-// the steady-state seal/deliver cycle recycles a fixed set of arrays.
+// the steady-state seal/deliver cycle recycles a fixed set of arrays. Lanes
+// recycle the same way through a pool of their own, sized for one scheduler
+// slot (ChunkSize, at most BufferItems) rather than one buffer: a lane takes
+// storage when its first item arrives, hands it over with the post, and the
+// receiver returns it. A full-buffer slice per post would leave most of each
+// one empty, and the bytes, not the count, of what waits in inboxes set how
+// often the garbage collector runs.
 // DeliverFunc receives scalar payloads and must not retain them — exactly
 // the contract core.Lib imposes on applications.
 package rt
@@ -334,7 +356,7 @@ type Metrics struct {
 const (
 	cInserted    = iota // items passed to Send
 	cSelfItems          // self items delivered inline
-	cLocalDirect        // same-process items delivered unbuffered (SMP-aware path)
+	cLocalDirect        // same-process items sent through a lane (SMP-aware path)
 	cDirectItems        // items sent unbuffered because their adaptive route was in Direct framing
 	numSendCounts
 )
@@ -396,6 +418,7 @@ type msg struct {
 	items    []Item   // mkItems
 	runs     []Run    // mkRuns
 	inlined  bool     // payloads aliases inline (single-item fast path)
+	lane     bool     // payloads is a posted lane (recycled to Runtime.laneBufs)
 	ingress  bool     // delivery releases one ingress credit (serve mode)
 	inline   [1]uint64
 }
@@ -447,6 +470,11 @@ type worker struct {
 	tagged      []*shmem.SPBuffer[Item]
 	shared      []*shmem.MPBuffer[Item]
 	bypassLocal bool
+
+	// lanes[r] holds the items this worker sent to its sibling of rank r
+	// since it last posted that lane (bypassLocal plans only: nil otherwise,
+	// and lanes[rank] is never used). A lane is nil while empty.
+	lanes [][]uint64
 
 	// runScratch is reused across mkItems groupings (the worker handles one
 	// message at a time, and runs are consumed before the next grouping).
@@ -534,6 +562,7 @@ type Runtime struct {
 	msgPool  sync.Pool // *msg
 	u64s     slicePool[uint64]
 	itemsPkd slicePool[Item]
+	laneBufs slicePool[uint64] // lane storage (see the package comment)
 
 	// parkHook, if set, runs on a worker's goroutine immediately before it
 	// parks. Tests only.
@@ -577,6 +606,7 @@ func New(cfg Config, deliver DeliverFunc, spawn SpawnFunc) *Runtime {
 	}
 	rt.u64s.minCap = minCap
 	rt.itemsPkd.minCap = minCap
+	rt.laneBufs.minCap = min(cfg.ChunkSize, minCap)
 
 	// In partitioned mode only the local process's workers exist (and spawn
 	// is consulted only for them); slots for remote workers stay nil.
@@ -595,6 +625,9 @@ func New(cfg Config, deliver DeliverFunc, spawn SpawnFunc) *Runtime {
 			note: make(chan struct{}, 1),
 
 			bypassLocal: plan.BypassLocal,
+		}
+		if plan.BypassLocal {
+			w.lanes = make([][]uint64, topo.WorkersPerProc)
 		}
 		w.ctx = Ctx{rt: rt, w: w}
 		w.steps, w.kernel = spawn(w.id)
@@ -888,8 +921,9 @@ func (rt *Runtime) post(w *worker, m *msg) {
 
 // postInline ships one unbuffered item as a worker-addressed message whose
 // payload lives in the message node itself (no slice pooling involved): the
-// Direct scheme and the SMP-aware local path. In partitioned mode a
-// remote-process destination goes to the wire instead.
+// Direct scheme, adaptive routes in Direct framing, and single items off the
+// wire. In partitioned mode a remote-process destination goes to the wire
+// instead.
 func (rt *Runtime) postInline(dest cluster.WorkerID, value uint64) {
 	if rt.part != nil && rt.topo.ProcOf(dest) != rt.part.Proc {
 		rt.sentCross.Add(1)
@@ -1028,7 +1062,8 @@ func (c *Ctx) Contribute(v int64) { c.w.contrib += v }
 //
 // The item joins the worker's unsettled tally here and rt.inflight only where
 // it becomes reachable by another goroutine: right here for the unbuffered
-// and shared-buffer paths, in the emit closure for a single-producer buffer.
+// and shared-buffer paths, in the emit closure for a single-producer buffer,
+// and at the lane's post for a same-process item.
 func (c *Ctx) Send(dest cluster.WorkerID, value uint64) {
 	rt := c.rt
 	w := c.w
@@ -1044,9 +1079,10 @@ func (c *Ctx) Send(dest cluster.WorkerID, value uint64) {
 	w.unsettled++
 	dstProc := rt.topo.ProcOf(dest)
 	if w.bypassLocal && dstProc == w.proc {
-		// SMP-aware local path: direct unbuffered delivery.
+		// SMP-aware local path: no buffer and no deadline — the item joins
+		// the sibling's lane and leaves with it when this slot ends.
 		w.sent[cLocalDirect]++
-		w.postInline(dest, value)
+		w.toLane(w.rank+int(dest-w.id), value)
 		return
 	}
 
@@ -1075,7 +1111,8 @@ func (c *Ctx) Send(dest cluster.WorkerID, value uint64) {
 }
 
 // Flush force-seals every buffer the calling worker fills — its own and its
-// process's shared ones — the explicit end-of-phase flush of the paper.
+// process's shared ones — and posts its lanes: the explicit end-of-phase
+// flush of the paper.
 func (c *Ctx) Flush() { c.w.flushOwn(); c.rt.flushProc(c.w.proc) }
 
 // Post schedules fn to run later on this worker's goroutine, after currently
@@ -1107,6 +1144,7 @@ func (w *worker) run() {
 			}
 			done += n
 			w.publishCounts()
+			w.postLanes()
 			w.drain()
 			w.runLocal()
 			w.deadlineFlush()
@@ -1148,9 +1186,10 @@ func (w *worker) run() {
 		}
 		// Nothing is unsettled here: in this phase sends come only from
 		// handlers and posted tasks, and each ends in w.finish. And nothing
-		// is buffered in a slot this worker owns: the flush above emptied
-		// them and no handler has run since — the invariant that lets the
-		// deadline live with the owner (see the package comment).
+		// is buffered in a slot this worker owns, or held in a lane: the
+		// flush above emptied them and no handler has run since — the
+		// invariant that lets the deadline live with the owner (see the
+		// package comment).
 		if rt.parkHook != nil {
 			rt.parkHook(w)
 		}
@@ -1233,7 +1272,10 @@ func (w *worker) handle(m *msg) {
 			// exactly one credit).
 			rt.releaseIngress(w.id)
 		}
-		if !m.inlined {
+		switch {
+		case m.lane:
+			rt.laneBufs.put(m.payloads)
+		case !m.inlined:
 			rt.putU64(m.payloads)
 		}
 		rt.putMsg(m)
@@ -1291,6 +1333,46 @@ func (w *worker) postInline(dest cluster.WorkerID, value uint64) {
 	w.rt.postInline(dest, value)
 }
 
+// toLane appends a same-process item, already in the tally, to the lane of
+// sibling rank r: plain memory, nothing another goroutine can see. A lane
+// that reaches BufferItems is posted at once.
+func (w *worker) toLane(r int, value uint64) {
+	l := w.lanes[r]
+	if l == nil {
+		l = w.rt.laneBufs.get(0)
+	}
+	l = append(l, value)
+	w.lanes[r] = l
+	if len(l) >= w.rt.cfg.BufferItems {
+		w.postLane(r)
+	}
+}
+
+// postLane hands lane r to its sibling as one worker-addressed message,
+// settling first: the lane's items become reachable here. A lane post is a
+// hand-over, not an aggregated batch, so no batch counter sees it.
+func (w *worker) postLane(r int) {
+	w.settle()
+	rt := w.rt
+	m := rt.getMsg()
+	m.kind = mkToWorker
+	m.lane = true
+	m.payloads = w.lanes[r]
+	w.lanes[r] = nil
+	rt.post(rt.workers[w.id+cluster.WorkerID(r-w.rank)], m)
+}
+
+// postLanes posts every non-empty lane. The worker calls it wherever a
+// scheduler slot of its ends — after each kernel chunk, in finish, and in
+// flushOwn — so a same-process item waits at most one slot of its sender.
+func (w *worker) postLanes() {
+	for r, l := range w.lanes {
+		if l != nil {
+			w.postLane(r)
+		}
+	}
+}
+
 // settle publishes the worker's unsettled sends and posted tasks to
 // rt.inflight. Owner goroutine only; called before anything in the tally
 // becomes reachable by another goroutine.
@@ -1319,7 +1401,9 @@ func (w *worker) publishCounts() {
 // and settles the sends their handlers issued, as one add. Called only after
 // the DeliverFuncs returned, so those sends are in the tally. A positive or
 // zero net cannot reach zero — the retired batch was counted until now — so
-// only a net decrement checks for quiescence.
+// only a net decrement checks for quiescence. The lanes go out after the add,
+// which settled their items: retiring before that settle could take inflight
+// to zero with items still in a lane.
 func (w *worker) finish(n int64) {
 	w.publishCounts()
 	d := w.unsettled - n
@@ -1327,6 +1411,7 @@ func (w *worker) finish(n int64) {
 	if d != 0 && w.rt.inflight.Add(d) == 0 {
 		w.rt.checkQuiesce()
 	}
+	w.postLanes()
 }
 
 // finish retires n items handed to the transport, from a goroutine with
@@ -1357,11 +1442,13 @@ func (rt *Runtime) checkQuiesce() {
 	}
 }
 
-// flushOwn seals every non-empty single-producer buffer the worker owns.
+// flushOwn seals every non-empty single-producer buffer the worker owns and
+// posts its lanes: afterwards it holds no item of its own anywhere.
 func (w *worker) flushOwn() {
 	for _, s := range w.owned {
 		s.buf.Flush()
 	}
+	w.postLanes()
 }
 
 // flushProc flushes the buffers process p's workers share; safe from any

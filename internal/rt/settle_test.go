@@ -48,7 +48,8 @@ func inboxItems(rtm *Runtime) int64 {
 // path out of Ctx.Send, deterministically: the runtime is built but not run,
 // one worker sends, and whatever has reached another worker's inbox must
 // already be in the published in-flight count — while what is still private
-// to the sender must not be.
+// to the sender must not be. A same-process item under a bypassing plan is
+// private until the worker's slot ends or it flushes: it sits in a lane.
 func TestSettleBeforePublish(t *testing.T) {
 	topo := cluster.SMP(1, 2, 2) // workers 0,1 in proc 0; 2,3 in proc 1
 	for _, s := range core.Schemes() {
@@ -57,7 +58,7 @@ func TestSettleBeforePublish(t *testing.T) {
 		rtm := New(cfg, func(*Ctx, uint64) {}, func(cluster.WorkerID) (int, KernelFunc) { return 0, nil })
 		w := rtm.workers[0]
 		var sent int64
-		for _, dest := range []cluster.WorkerID{1, 2, 3, 2} {
+		for _, dest := range []cluster.WorkerID{1, 2, 1, 3, 2} {
 			w.ctx.Send(dest, 7)
 			sent++
 			visible := inboxItems(rtm)
@@ -68,10 +69,14 @@ func TestSettleBeforePublish(t *testing.T) {
 			if published+w.unsettled != sent {
 				t.Fatalf("%v: published %d + unsettled %d != sent %d", s, published, w.unsettled, sent)
 			}
+			if dest == 1 && s.Plan().BypassLocal && visible != 0 {
+				t.Fatalf("%v: same-process send visible to its receiver before the slot ended", s)
+			}
 			rtm.inflight.Add(-visible) // stand in for the receivers' finish
 			sent -= visible
 		}
-		// Sealing is the publication point for everything still buffered.
+		// Sealing and posting the lanes is the publication point for
+		// everything still held: the worker's one flush covers both.
 		w.flushOwn()
 		rtm.flushProc(w.proc)
 		if visible, published := inboxItems(rtm), rtm.Counters().Inflight; w.unsettled != 0 || visible != sent || published != sent {

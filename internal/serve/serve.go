@@ -200,7 +200,15 @@ func (f *Frontend) acceptLoop() {
 		f.mu.Lock()
 		if f.draining.Load() || f.aborted() {
 			f.mu.Unlock()
-			conn.Close()
+			// Refused, but it may already hold the client's frames: it ends
+			// like a handled connection, or the close resets it and the
+			// client never reads why.
+			f.wg.Add(1)
+			go func() {
+				defer f.wg.Done()
+				f.finalize(cs)
+				conn.Close()
+			}()
 			continue
 		}
 		f.conns[cs] = struct{}{}
@@ -240,14 +248,7 @@ func (f *Frontend) handle(cs *connState) {
 			// Drain and abort interrupt the blocked read via a past read
 			// deadline; a finalize frame tells the client which it was.
 			// Otherwise the client closed (or broke) the connection.
-			switch {
-			case f.aborted():
-				f.finalizeFail(cs)
-				discardInput(cs.conn)
-			case f.draining.Load():
-				f.finalizeDrained(cs)
-				discardInput(cs.conn)
-			}
+			f.finalize(cs)
 			return
 		}
 		if fr.Kind != wire.KindItems {
@@ -310,6 +311,21 @@ func (cs *connState) send(opcode uint32, doc any) bool {
 
 func (f *Frontend) sendAck(cs *connState, opcode uint32, n int64) bool {
 	return cs.send(opcode, ackDoc{N: n})
+}
+
+// finalize ends cs if the frontend is ending — OpFail after an abort,
+// OpDrained during a drain — and consumes the client's unread input. A
+// connection the frontend is not ending gets nothing.
+func (f *Frontend) finalize(cs *connState) {
+	switch {
+	case f.aborted():
+		f.finalizeFail(cs)
+	case f.draining.Load():
+		f.finalizeDrained(cs)
+	default:
+		return
+	}
+	discardInput(cs.conn)
 }
 
 // finalizeDrained sends the final cumulative ack and closes the write side.

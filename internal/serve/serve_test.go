@@ -397,6 +397,12 @@ func TestAbortSurfacesTypedError(t *testing.T) {
 		}
 	}
 	c.Flush()
+	// Abort once the connection is established on the server side: one the
+	// listener had not accepted yet is reset when Abort closes it, and the
+	// client would see that instead of the OpFail this test is about.
+	if _, err := c.WaitAcked(1); err != nil {
+		t.Fatalf("first ack: %v", err)
+	}
 	s.fe.Abort(1, "run", "worker 1 died")
 
 	_, err = c.WaitDrained()

@@ -280,9 +280,10 @@ func (b *MPBuffer[T]) OldestNanos() int64 { return b.cur.Load().first.Load() }
 
 // FlushIfOlder flushes the buffer iff its oldest item arrived at or before
 // cutoff (UnixNano), reporting whether a batch was actually emitted. This is
-// the deadline enforcement for a shared buffer: safe concurrently with Push. The age check is re-validated under the flush lock, so an epoch that
-// seals and rotates between the caller's observation and the flush is never
-// flushed prematurely — only the epoch whose first item really is overdue.
+// the deadline enforcement for a shared buffer: safe concurrently with Push.
+// The age check is re-validated under the flush lock, so an epoch that seals
+// and rotates between the caller's observation and the flush is never flushed
+// prematurely — only the epoch whose first item really is overdue.
 func (b *MPBuffer[T]) FlushIfOlder(cutoff int64) bool {
 	if o := b.OldestNanos(); o == 0 || o > cutoff {
 		return false
