@@ -181,13 +181,15 @@ func (h *eventHeap) pop() event {
 }
 
 // workerState holds per-PE PDES state, touched only on its own execution
-// context.
+// context — its counters included, so they need no atomics.
 type workerState struct {
 	clock    []uint64 // local virtual time per local LP
 	pending  eventHeap
 	draining bool
 	rng      *rng.RNG
 	drain    func(tram.Ctx) // pre-built drain continuation
+
+	scheduled, remoteRecv, wasted int64
 }
 
 // instance is one bound run: per-worker PDES states plus the kernel closures
@@ -197,9 +199,22 @@ type instance struct {
 	cfg Config
 	lib tram.Lib[uint64]
 	ws  []*workerState
-	// Shared counters are atomics for the concurrent backends; the serial
-	// simulator sees the identical value sequence as plain increments.
-	processed, scheduled, remoteRecv, wasted atomic.Int64
+	// processed is the one shared counter: it is the event budget every
+	// worker checks, so it stays an atomic for the concurrent backends (the
+	// serial simulator sees the identical value sequence as plain
+	// increments). The others are per-worker, summed by totals.
+	processed atomic.Int64
+}
+
+// totals sums the per-worker counters. Read only once the run is over: the
+// workers' goroutines write their own counters unsynchronized while it lasts.
+func (in *instance) totals() (scheduled, remoteRecv, wasted int64) {
+	for _, st := range in.ws {
+		scheduled += st.scheduled
+		remoteRecv += st.remoteRecv
+		wasted += st.wasted
+	}
+	return scheduled, remoteRecv, wasted
 }
 
 func newInstance(cfg Config) *instance {
@@ -220,7 +235,7 @@ func newInstance(cfg Config) *instance {
 func (in *instance) schedule(ctx tram.Ctx, st *workerState, self int, ts uint64) {
 	cfg := in.cfg
 	totalLPs := len(in.ws) * cfg.LPsPerWorker
-	in.scheduled.Add(1)
+	st.scheduled++
 	inc := uint64(st.rng.ExpFloat64()*cfg.MeanDelay) + 1
 	nts := ts + inc
 	var gLP int
@@ -284,9 +299,9 @@ func (in *instance) app() tram.App[uint64] {
 			st := in.ws[ctx.Self()]
 			lp := uint32(p&lpMask) % uint32(cfg.LPsPerWorker)
 			ts := p >> tsShift
-			in.remoteRecv.Add(1)
+			st.remoteRecv++
 			if ts < st.clock[lp] {
-				in.wasted.Add(1)
+				st.wasted++
 			}
 			st.pending.push(event{lp: lp, ts: ts})
 			if !st.draining {
@@ -336,11 +351,12 @@ type distReport struct {
 }
 
 func (in *instance) report() []byte {
+	scheduled, remoteRecv, wasted := in.totals()
 	b, _ := json.Marshal(distReport{
 		Processed:  in.processed.Load(),
-		Scheduled:  in.scheduled.Load(),
-		RemoteRecv: in.remoteRecv.Load(),
-		Wasted:     in.wasted.Load(),
+		Scheduled:  scheduled,
+		RemoteRecv: remoteRecv,
+		Wasted:     wasted,
 		MaxLVT:     in.maxLVT(),
 	})
 	return b
@@ -366,12 +382,13 @@ func RunOn(b tram.Backend, cfg Config) Result {
 		panic(err)
 	}
 
+	scheduled, remoteRecv, wasted := in.totals()
 	res := Result{
 		Time:       m.Time,
 		Processed:  in.processed.Load(),
-		Scheduled:  in.scheduled.Load(),
-		RemoteRecv: in.remoteRecv.Load(),
-		Wasted:     in.wasted.Load(),
+		Scheduled:  scheduled,
+		RemoteRecv: remoteRecv,
+		Wasted:     wasted,
 		MaxLVT:     in.maxLVT(),
 		M:          m,
 	}

@@ -28,7 +28,6 @@ package sssp
 import (
 	"encoding/json"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"tramlib/internal/graph"
@@ -150,11 +149,23 @@ func packUpdate(v int, d uint32) uint64 { return uint64(v)<<32 | uint64(d) }
 
 func unpackUpdate(p uint64) (v int, d uint32) { return int(p >> 32), uint32(p) }
 
+// counts are the solver's activity counters: received remote updates that
+// did / did not improve a distance, and edge relaxations performed.
+type counts struct {
+	useful, wasted, relaxations int64
+}
+
+func (c *counts) add(o counts) {
+	c.useful += o.useful
+	c.wasted += o.wasted
+	c.relaxations += o.relaxations
+}
+
 // worker holds the per-PE solver state. Bucket entries pack the local vertex
 // index with the distance at enqueue time; entries superseded by a later
 // improvement are skipped on pop (classic delta-stepping lazy deletion).
-// Each worker's state is touched only on its own execution context, so the
-// concurrent backend needs no locks.
+// Each worker's state — its counters included — is touched only on its own
+// execution context, so the concurrent backend needs no locks and no atomics.
 type worker struct {
 	lo, hi   int // owned vertex range
 	dist     []uint32
@@ -163,6 +174,7 @@ type worker struct {
 	pending  int
 	draining bool
 	drain    func(tram.Ctx) // pre-built drain continuation (posted, never reallocated)
+	counts
 }
 
 const nBuckets = 64
@@ -189,10 +201,19 @@ type solver struct {
 	part graph.Partition
 	ws   []*worker
 	lib  tram.Lib[uint64]
-	// Shared counters are atomics so the concurrent backends can update
-	// them from every worker goroutine; on the serial simulator the
-	// sequence of values is identical to plain increments.
-	useful, wasted, relaxations atomic.Int64
+	// absorbed holds the counters other processes reported (Dist).
+	absorbed counts
+}
+
+// totals sums the per-worker counters (and any absorbed reports). Read only
+// once the run is over: the workers' goroutines write their own counters
+// unsynchronized while it lasts.
+func (s *solver) totals() counts {
+	c := s.absorbed
+	for _, st := range s.ws {
+		c.add(st.counts)
+	}
+	return c
 }
 
 func newSolver(cfg Config) *solver {
@@ -257,7 +278,7 @@ func (s *solver) expand(ctx tram.Ctx, st *worker, li int, d uint32) {
 	ts, wts := s.g.Neighbors(v)
 	for i, t := range ts {
 		ctx.Charge(s.cfg.RelaxCost)
-		s.relaxations.Add(1)
+		st.relaxations++
 		nd := d + uint32(wts[i])
 		tv := int(t)
 		if tv >= st.lo && tv < st.hi {
@@ -312,10 +333,10 @@ func (s *solver) app() tram.App[uint64] {
 			v, d := unpackUpdate(p)
 			st := s.ws[ctx.Self()]
 			if d >= st.dist[v-st.lo] {
-				s.wasted.Add(1)
+				st.wasted++
 				return
 			}
-			s.useful.Add(1)
+			st.useful++
 			st.dist[v-st.lo] = d
 			s.enqueueLocal(ctx, st, v, d)
 		},
@@ -348,12 +369,13 @@ type distReport struct {
 func (s *solver) report(proc tram.ProcID) []byte {
 	topo := s.cfg.Tram.Topo
 	first := int(topo.FirstWorkerOf(proc))
+	c := s.totals()
 	rep := distReport{
 		First:       first,
 		Dist:        make([][]uint32, topo.WorkersPerProc),
-		Useful:      s.useful.Load(),
-		Wasted:      s.wasted.Load(),
-		Relaxations: s.relaxations.Load(),
+		Useful:      c.useful,
+		Wasted:      c.wasted,
+		Relaxations: c.relaxations,
 	}
 	for i := range rep.Dist {
 		rep.Dist[i] = s.ws[first+i].dist
@@ -373,9 +395,7 @@ func (s *solver) absorb(reports [][]byte) {
 		if err := json.Unmarshal(blob, &rep); err != nil {
 			panic(err)
 		}
-		s.useful.Add(rep.Useful)
-		s.wasted.Add(rep.Wasted)
-		s.relaxations.Add(rep.Relaxations)
+		s.absorbed.add(counts{useful: rep.Useful, wasted: rep.Wasted, relaxations: rep.Relaxations})
 		for i, arr := range rep.Dist {
 			dst := s.ws[rep.First+i].dist
 			for j, d := range arr {
@@ -409,11 +429,12 @@ func run(b tram.Backend, cfg Config, keepDist bool) Result {
 		s.absorb(m.Reports)
 	}
 
+	c := s.totals()
 	res := Result{
 		Time:        m.Time,
-		Useful:      s.useful.Load(),
-		Wasted:      s.wasted.Load(),
-		Relaxations: s.relaxations.Load(),
+		Useful:      c.useful,
+		Wasted:      c.wasted,
+		Relaxations: c.relaxations,
 		M:           m,
 	}
 	for _, st := range s.ws {

@@ -103,7 +103,7 @@ func TestConsumePhaseDeadlineOwnerDriven(t *testing.T) {
 // TestWorkerParksWithEmptyOwnedBuffers samples, at every park of a
 // request/response run, the invariant that makes a flush-request path from
 // the progress goroutine unnecessary: a parking worker holds nothing in a
-// buffer it owns, nor in a lane.
+// buffer it owns, nor in a lane or a stage.
 func TestWorkerParksWithEmptyOwnedBuffers(t *testing.T) {
 	topo := cluster.SMP(2, 2, 2)
 	W := topo.TotalWorkers()
@@ -141,6 +141,11 @@ func TestWorkerParksWithEmptyOwnedBuffers(t *testing.T) {
 				for r, lane := range w.lanes {
 					if lane != nil {
 						t.Errorf("worker %d parks holding %d items for sibling rank %d", w.id, len(lane), r)
+					}
+				}
+				for p, stage := range w.stages {
+					if len(stage) != 0 {
+						t.Errorf("worker %d parks holding %d items staged for process %d", w.id, len(stage), p)
 					}
 				}
 			}

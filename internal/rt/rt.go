@@ -30,6 +30,15 @@
 // deadline and is not an aggregation buffer: its posts are not counted as
 // batches, and its items count as LocalDirect exactly as before.
 //
+// Under a shared plan (PP) an item for another process is staged the same
+// way before it reaches the shared buffer: each worker keeps one stage per
+// destination process, plain memory holding at most one slot's worth of
+// items (ChunkSize, at most BufferItems), and pushes it with one
+// MPBuffer.PushN — one claim and one fill for the whole run — when its slot
+// ends and when the stage fills. The shared buffer still fills t× sooner than
+// a worker's own would; what the stage saves is the per-item atomics on lines
+// every sibling writes.
+//
 // Self items are delivered inline on every plan — mirroring core.Lib.Insert.
 // The one route an owner never uses is its own (its own worker under WW, its
 // own process otherwise), so that slot does not exist. Ctx.Send pushes through
@@ -77,8 +86,8 @@
 // worker tallies its sends (and Ctx.Post tasks) in a private unsettled count
 // and settles — adds the tally to inflight — only where an item becomes
 // reachable by another goroutine: in its single-producer buffers' emit
-// closures, before postInline, before a push into a shared MPBuffer, and
-// before it posts a lane.
+// closures, before postInline, before it pushes a stage into a shared
+// MPBuffer, and before it posts a lane.
 // Retiring a delivered batch and settling the sends its DeliverFuncs issued
 // is a single add of (unsettled − n). The settle-before-publish invariant:
 //
@@ -88,8 +97,8 @@
 //     inside a handler (or posted task) whose batch is still counted;
 //   - every worker settles before producing.Add(-1), and past that point its
 //     handlers and posted tasks each end by settling, so it parks with
-//     nothing unsettled — and, since the same points post the lanes, with
-//     every lane empty.
+//     nothing unsettled — and, since the same points post the lanes and push
+//     the stages, with every lane and stage empty.
 //
 // Hence producing == 0 && inflight == 0 still implies that no item exists
 // anywhere, zero is reached only by a decrement (no wake-up is lost), and
@@ -139,7 +148,17 @@
 //     after every kernel chunk, at the end of every delivered batch and
 //     posted task (worker.finish), and in its flush (Ctx.Flush, the idle
 //     flush, the flush before it leaves the generation phase). That is the
-//     granularity at which a running sibling drains its inbox anyway.
+//     granularity at which a running sibling drains its inbox anyway;
+//   - for a cross-process item under PP, the shared-buffer terms above plus
+//     one scheduler slot of its sender: it waits in its sender's stage until
+//     the same points push the stages, and its deadline starts when it
+//     enters the shared buffer. Like an item in a WW, WPs or WsP sender's own
+//     buffer, it cannot leave before its sender's slot ends.
+//
+// A staged item belongs to its sender alone, like an item in a
+// single-producer buffer: the progress goroutine cannot flush an item staged
+// inside a kernel step (or DeliverFunc) that never returns. It reaches the
+// shared buffer when that call returns.
 //
 // No request path exists from the progress goroutine to a worker, and none
 // is needed: a worker never parks with a non-empty owned buffer — flushing
@@ -152,9 +171,10 @@
 // request would have waited for it to.
 //
 // The progress goroutine keeps exactly two jobs: it is the backstop for
-// shared buffers, which hold items from goroutines that may all be parked or
-// are not workers at all (MPBuffer.FlushIfOlder is safe from any goroutine),
-// and it runs the adaptive controller's policy tick.
+// shared buffers, which hold items from goroutines that may all be parked,
+// held inside a later kernel step, or not workers at all
+// (MPBuffer.FlushIfOlder is safe from any goroutine), and it runs the
+// adaptive controller's policy tick.
 //
 // # Pooling and batch ownership
 //
@@ -169,7 +189,9 @@
 // storage when its first item arrives, hands it over with the post, and the
 // receiver returns it. A full-buffer slice per post would leave most of each
 // one empty, and the bytes, not the count, of what waits in inboxes set how
-// often the garbage collector runs.
+// often the garbage collector runs. A stage is not handed over — PushN copies
+// its items into the shared buffer's storage — so it is not pooled: each
+// worker allocates it on first use, at the lane size, and reuses it.
 // DeliverFunc receives scalar payloads and must not retain them — exactly
 // the contract core.Lib imposes on applications.
 package rt
@@ -476,6 +498,12 @@ type worker struct {
 	// and lanes[rank] is never used). A lane is nil while empty.
 	lanes [][]uint64
 
+	// stages[p] holds the items this worker sent toward process p since it
+	// last pushed them into shared[p] (shared plans only: nil otherwise, and
+	// the own process's entry is never used). A stage is allocated on first
+	// use and reused after every push, which copies its items out.
+	stages [][]Item
+
 	// runScratch is reused across mkItems groupings (the worker handles one
 	// message at a time, and runs are consumed before the next grouping).
 	runScratch []Run
@@ -681,7 +709,9 @@ func (rt *Runtime) wireBuffers() {
 				rt.shared[p] = append(rt.shared[p], s)
 			}
 			for rank := 0; rank < topo.WorkersPerProc; rank++ {
-				rt.workers[topo.WorkerOf(proc, rank)].shared = view
+				w := rt.workers[topo.WorkerOf(proc, rank)]
+				w.shared = view
+				w.stages = make([][]Item, routes)
 			}
 		}
 		return
@@ -1062,8 +1092,8 @@ func (c *Ctx) Contribute(v int64) { c.w.contrib += v }
 //
 // The item joins the worker's unsettled tally here and rt.inflight only where
 // it becomes reachable by another goroutine: right here for the unbuffered
-// and shared-buffer paths, in the emit closure for a single-producer buffer,
-// and at the lane's post for a same-process item.
+// path, in the emit closure for a single-producer buffer, at the lane's post
+// for a same-process item, and at the stage's push for a shared buffer.
 func (c *Ctx) Send(dest cluster.WorkerID, value uint64) {
 	rt := c.rt
 	w := c.w
@@ -1103,16 +1133,15 @@ func (c *Ctx) Send(dest cluster.WorkerID, value uint64) {
 		if rt.routes != nil && w.routeSend(int(dstProc), dest, value) {
 			return
 		}
-		w.settle()
-		w.shared[dstProc].Push(Item{Dest: dest, Val: value})
+		w.toStage(dstProc, Item{Dest: dest, Val: value})
 	default:
 		w.postInline(dest, value)
 	}
 }
 
-// Flush force-seals every buffer the calling worker fills — its own and its
-// process's shared ones — and posts its lanes: the explicit end-of-phase
-// flush of the paper.
+// Flush posts the calling worker's lanes and stages and force-seals every
+// buffer it fills — its own and its process's shared ones: the explicit
+// end-of-phase flush of the paper.
 func (c *Ctx) Flush() { c.w.flushOwn(); c.rt.flushProc(c.w.proc) }
 
 // Post schedules fn to run later on this worker's goroutine, after currently
@@ -1144,7 +1173,7 @@ func (w *worker) run() {
 			}
 			done += n
 			w.publishCounts()
-			w.postLanes()
+			w.endSlot()
 			w.drain()
 			w.runLocal()
 			w.deadlineFlush()
@@ -1362,13 +1391,42 @@ func (w *worker) postLane(r int) {
 	rt.post(rt.workers[w.id+cluster.WorkerID(r-w.rank)], m)
 }
 
-// postLanes posts every non-empty lane. The worker calls it wherever a
-// scheduler slot of its ends — after each kernel chunk, in finish, and in
-// flushOwn — so a same-process item waits at most one slot of its sender.
-func (w *worker) postLanes() {
+// toStage appends a cross-process item, already in the tally, to the stage
+// toward process p: plain memory, nothing another goroutine can see. A stage
+// holds one scheduler slot's worth (the lane size) and is pushed when full.
+func (w *worker) toStage(p cluster.ProcID, it Item) {
+	s := w.stages[p]
+	if s == nil {
+		s = make([]Item, 0, w.rt.laneBufs.minCap)
+	}
+	s = append(s, it)
+	w.stages[p] = s
+	if len(s) == cap(s) {
+		w.pushStage(int(p))
+	}
+}
+
+// pushStage settles, then publishes stage p into its shared buffer with one
+// claim and one fill, and keeps the emptied stage for reuse.
+func (w *worker) pushStage(p int) {
+	w.settle()
+	w.shared[p].PushN(w.stages[p])
+	w.stages[p] = w.stages[p][:0]
+}
+
+// endSlot posts every non-empty lane and pushes every non-empty stage. The
+// worker calls it wherever a scheduler slot of its ends — after each kernel
+// chunk, in finish, and in flushOwn — so an item it holds privately waits at
+// most one slot of its sender before another goroutine can see it.
+func (w *worker) endSlot() {
 	for r, l := range w.lanes {
 		if l != nil {
 			w.postLane(r)
+		}
+	}
+	for p, s := range w.stages {
+		if len(s) != 0 {
+			w.pushStage(p)
 		}
 	}
 }
@@ -1401,9 +1459,9 @@ func (w *worker) publishCounts() {
 // and settles the sends their handlers issued, as one add. Called only after
 // the DeliverFuncs returned, so those sends are in the tally. A positive or
 // zero net cannot reach zero — the retired batch was counted until now — so
-// only a net decrement checks for quiescence. The lanes go out after the add,
-// which settled their items: retiring before that settle could take inflight
-// to zero with items still in a lane.
+// only a net decrement checks for quiescence. The lanes and stages go out
+// after the add, which settled their items: retiring before that settle could
+// take inflight to zero with items still in a lane or stage.
 func (w *worker) finish(n int64) {
 	w.publishCounts()
 	d := w.unsettled - n
@@ -1411,7 +1469,7 @@ func (w *worker) finish(n int64) {
 	if d != 0 && w.rt.inflight.Add(d) == 0 {
 		w.rt.checkQuiesce()
 	}
-	w.postLanes()
+	w.endSlot()
 }
 
 // finish retires n items handed to the transport, from a goroutine with
@@ -1442,13 +1500,14 @@ func (rt *Runtime) checkQuiesce() {
 	}
 }
 
-// flushOwn seals every non-empty single-producer buffer the worker owns and
-// posts its lanes: afterwards it holds no item of its own anywhere.
+// flushOwn seals every non-empty single-producer buffer the worker owns,
+// posts its lanes and pushes its stages: afterwards it holds no item of its
+// own anywhere, and its process's shared buffers hold everything it staged.
 func (w *worker) flushOwn() {
 	for _, s := range w.owned {
 		s.buf.Flush()
 	}
-	w.postLanes()
+	w.endSlot()
 }
 
 // flushProc flushes the buffers process p's workers share; safe from any

@@ -253,15 +253,22 @@ func TestDeadlineFlushOwnerDriven(t *testing.T) {
 
 func TestDeadlineFlushProgressGoroutinePP(t *testing.T) {
 	// PP's shared buffers are force-flushed by the progress goroutine even
-	// while every producer is busy inside a kernel step: worker 0 parks a
-	// partial batch and spins until the remote consumer observes it.
+	// while every producer is busy inside a kernel step. Worker 0 sends in
+	// step 0, so its slot ends and its stage reaches the shared buffer; in
+	// step 1 it spins, as its sibling does from the start, until the remote
+	// consumer observes the item. (An item still staged inside a step that
+	// never returns is beyond the progress goroutine's reach: see the package
+	// comment's latency bound.)
 	topo := cluster.SMP(2, 1, 2) // procs 0 and 1 on different "nodes"
 	var seen atomic.Int64
+	var buffered atomic.Bool // the item sat in the shared buffer when worker 0 began spinning
 
 	cfg := DefaultConfig(topo, core.PP)
 	cfg.BufferItems = 1024
 	cfg.FlushDeadline = 300 * time.Microsecond
-	rtm := New(cfg, func(ctx *Ctx, v uint64) {
+	cfg.ChunkSize = 1
+	var rtm *Runtime
+	rtm = New(cfg, func(ctx *Ctx, v uint64) {
 		seen.Add(1)
 	}, func(w cluster.WorkerID) (int, KernelFunc) {
 		if ctxProc := topo.ProcOf(w); ctxProc != 0 {
@@ -271,11 +278,7 @@ func TestDeadlineFlushProgressGoroutinePP(t *testing.T) {
 		// flush possible) until the remote delivery is observed — an
 		// ordering assertion with a generous give-up bound (only a broken
 		// flush path reaches it; a slow runner just spins a little longer).
-		send := w == 0
-		return 1, func(ctx *Ctx, _ int) {
-			if send {
-				ctx.Send(2, 42) // remote process, far below BufferItems
-			}
+		spin := func() {
 			deadline := time.Now().Add(30 * time.Second)
 			for seen.Load() == 0 {
 				if time.Now().After(deadline) {
@@ -284,13 +287,31 @@ func TestDeadlineFlushProgressGoroutinePP(t *testing.T) {
 				runtime.Gosched()
 			}
 		}
+		if w != 0 {
+			return 1, func(*Ctx, int) { spin() }
+		}
+		return 2, func(ctx *Ctx, step int) {
+			if step == 0 {
+				ctx.Send(2, 42) // remote process, far below BufferItems
+				return
+			}
+			buffered.Store(rtm.shared[0][0].buf.OldestNanos() != 0)
+			spin()
+		}
 	})
 	res := rtm.Run()
 	if seen.Load() != 1 || res.Delivered != 1 {
 		t.Fatalf("delivered %d/%d, want 1", seen.Load(), res.Delivered)
 	}
 	if res.DeadlineFlushes == 0 {
-		t.Fatal("progress goroutine never deadline-flushed the PP buffer")
+		t.Fatal("the PP buffer was never deadline-flushed")
+	}
+	if !buffered.Load() {
+		// The deadline passed before worker 0 began spinning (a descheduled
+		// runner), so its own check between the steps may have sealed the
+		// buffer: the bound held, but this run may not have exercised the
+		// progress goroutine.
+		t.Log("the buffer was flushed before worker 0 began spinning")
 	}
 }
 

@@ -49,7 +49,9 @@ func inboxItems(rtm *Runtime) int64 {
 // one worker sends, and whatever has reached another worker's inbox must
 // already be in the published in-flight count — while what is still private
 // to the sender must not be. A same-process item under a bypassing plan is
-// private until the worker's slot ends or it flushes: it sits in a lane.
+// private until the worker's slot ends or it flushes: it sits in a lane. So
+// is a cross-process item under a shared plan: it sits in a stage, and at the
+// slot's end enters the shared buffer settled.
 func TestSettleBeforePublish(t *testing.T) {
 	topo := cluster.SMP(1, 2, 2) // workers 0,1 in proc 0; 2,3 in proc 1
 	for _, s := range core.Schemes() {
@@ -72,8 +74,31 @@ func TestSettleBeforePublish(t *testing.T) {
 			if dest == 1 && s.Plan().BypassLocal && visible != 0 {
 				t.Fatalf("%v: same-process send visible to its receiver before the slot ended", s)
 			}
+			if s.Plan().Shared && (visible != 0 || published != 0) {
+				t.Fatalf("%v: staged send visible (%d) or published (%d) before the slot ended", s, visible, published)
+			}
 			rtm.inflight.Add(-visible) // stand in for the receivers' finish
 			sent -= visible
+		}
+		// Ending the slot posts the lanes and pushes the stages: a staged
+		// item is settled as it enters the shared buffer, where it waits,
+		// unseen, for a seal.
+		w.endSlot()
+		visible, published := inboxItems(rtm), rtm.Counters().Inflight
+		if published < visible {
+			t.Fatalf("%v: after the slot %d items visible, only %d published", s, visible, published)
+		}
+		rtm.inflight.Add(-visible)
+		sent -= visible
+		if s.Plan().Shared {
+			for p, stage := range w.stages {
+				if len(stage) != 0 {
+					t.Fatalf("%v: %d items still staged for process %d after the slot", s, len(stage), p)
+				}
+			}
+			if published := rtm.Counters().Inflight; w.unsettled != 0 || published != sent {
+				t.Fatalf("%v: after the slot published %d unsettled %d, want %d 0", s, published, w.unsettled, sent)
+			}
 		}
 		// Sealing and posting the lanes is the publication point for
 		// everything still held: the worker's one flush covers both.
@@ -171,11 +196,13 @@ func TestPostOnlyKernelQuiesces(t *testing.T) {
 	}
 }
 
-// TestDeadlineFlushWorkerOwnsPP pins the PP half of the latency bound: a
-// running worker seals its process's overdue shared buffer itself, without
-// the progress goroutine (which is never started here — the runtime is built
-// but not Run). The sleep is a lower bound only; nothing asserts how soon
-// after the deadline the flush happens.
+// TestDeadlineFlushWorkerOwnsPP pins the PP half of the latency bound: once
+// the sender's slot ends and its stage is in the shared buffer, a running
+// worker seals its process's overdue shared buffer itself, without the
+// progress goroutine (which is never started here — the runtime is built but
+// not Run). Before the slot ends the item is the sender's alone, and no
+// deadline applies to it. The sleeps are lower bounds only; nothing asserts
+// how soon after the deadline the flush happens.
 func TestDeadlineFlushWorkerOwnsPP(t *testing.T) {
 	topo := cluster.SMP(2, 1, 2) // procs 0 and 1, two workers each
 	cfg := DefaultConfig(topo, core.PP)
@@ -183,8 +210,19 @@ func TestDeadlineFlushWorkerOwnsPP(t *testing.T) {
 	cfg.FlushDeadline = 200 * time.Microsecond
 	rtm := New(cfg, func(*Ctx, uint64) {}, func(cluster.WorkerID) (int, KernelFunc) { return 0, nil })
 	w := rtm.workers[0]
+	buf := rtm.shared[0][0].buf
 
 	w.ctx.Send(2, 42) // remote process, far below BufferItems
+	time.Sleep(2 * cfg.FlushDeadline)
+	w.deadlineFlush()
+	if got := rtm.M.DeadlineFlushes.Load(); got != 0 || buf.OldestNanos() != 0 {
+		t.Fatalf("staged item: DeadlineFlushes = %d, shared buffer stamp %d; want both 0", got, buf.OldestNanos())
+	}
+
+	w.endSlot()
+	if buf.OldestNanos() == 0 {
+		t.Fatal("the slot ended but the shared buffer is empty")
+	}
 	time.Sleep(2 * cfg.FlushDeadline)
 	w.deadlineFlush()
 

@@ -26,6 +26,9 @@
 // fills the LAST slot seals the batch and hands it to the consumer — every
 // batch is emitted exactly once, with no locks. Producers that overshoot
 // capacity spin-wait for the sealer to install a fresh epoch, then retry.
+// PushN is the same protocol for a run of items: one compare-and-swap claims
+// as many slots as the epoch has left, one fetch-add on `filled` completes
+// them, and the remainder goes to the next epoch.
 //
 // # Latency-bound hooks
 //
@@ -217,11 +220,11 @@ func NewMPBuffer[T any](capacity int, emit func(Batch[T])) *MPBuffer[T] {
 func (b *MPBuffer[T]) SetAlloc(alloc AllocFunc[T]) { b.alloc = alloc }
 
 // SetTarget sets the advisory seal threshold: the producer whose completed
-// write brings occupancy exactly to the target flushes the epoch early
-// (through the same poison-and-rotate path as an explicit Flush, so
+// writes take occupancy from below the target to or past it flushes the epoch
+// early (through the same poison-and-rotate path as an explicit Flush, so
 // exactly-once emission is preserved). n <= 0 or n >= cap restores
-// seal-at-capacity. Safe from any goroutine. The trigger is an exact-hit on
-// the fill counter, so an epoch already past a freshly lowered target is not
+// seal-at-capacity. Safe from any goroutine. The trigger is a crossing of the
+// fill counter, so an epoch already past a freshly lowered target is not
 // flushed here — the deadline flush picks it up instead.
 func (b *MPBuffer[T]) SetTarget(n int) {
 	if n <= 0 || n >= b.cap {
@@ -247,29 +250,69 @@ func (b *MPBuffer[T]) Push(v T) {
 		if slot >= int64(b.cap) {
 			// Buffer full (or flush-poisoned): wait for the sealer
 			// or flusher to install the next epoch, then retry.
-			for b.cur.Load() == e {
-				runtime.Gosched()
-			}
+			b.awaitRotation(e)
 			continue
 		}
 		if slot == 0 {
 			e.first.Store(nowNanos())
 		}
 		e.items[slot] = v
-		f := e.filled.Add(1)
-		if f == int64(b.cap) {
-			// Last writer seals: install the next epoch first so
-			// spinning producers can proceed, then emit.
-			b.cur.Store(b.newEpoch())
-			b.emit(Batch[T]{Items: e.items, Seq: b.seq.Add(1) - 1, Oldest: e.first.Load()})
-		} else if t := int64(b.target.Load()); t > 0 && f == t {
-			// Exactly one producer observes the fill counter hit the
-			// advisory target; it flushes through the locked path so the
-			// early seal and a concurrent Flush/capacity-seal can't both
-			// emit the epoch.
-			b.targetFlush(e)
-		}
+		b.complete(e, 1)
 		return
+	}
+}
+
+// PushN inserts items from any goroutine, in order, claiming as many slots of
+// the current epoch as it can take — min(len(items), cap−pos) — with one CAS
+// on the claim counter and completing them with one add on the fill counter.
+// Items past the epoch's end go into the next epoch, so a batch longer than
+// the capacity spans several. items is only read; the caller keeps it.
+func (b *MPBuffer[T]) PushN(items []T) {
+	for len(items) > 0 {
+		e := b.cur.Load()
+		p := e.pos.Load()
+		if p >= int64(b.cap) {
+			b.awaitRotation(e)
+			continue
+		}
+		k := min(int64(len(items)), int64(b.cap)-p)
+		if !e.pos.CompareAndSwap(p, p+k) {
+			continue
+		}
+		if p == 0 {
+			e.first.Store(nowNanos())
+		}
+		copy(e.items[p:p+k], items[:k])
+		items = items[k:]
+		b.complete(e, k)
+	}
+}
+
+// awaitRotation spins until epoch e is no longer current: its sealer or
+// flusher installs the next one.
+func (b *MPBuffer[T]) awaitRotation(e *epoch[T]) {
+	for b.cur.Load() == e {
+		runtime.Gosched()
+	}
+}
+
+// complete records k finished writes on epoch e. The writer whose add takes
+// the fill counter to capacity seals; claims never exceed capacity, so at most
+// one writer does (none once a flush poisoned the epoch). Below capacity, the
+// writer whose range of the fill counter
+// crosses the advisory target (f−k < t ≤ f) — exactly one, as the ranges are
+// disjoint — flushes early.
+func (b *MPBuffer[T]) complete(e *epoch[T], k int64) {
+	f := e.filled.Add(k)
+	if f == int64(b.cap) {
+		// Last writer seals: install the next epoch first so spinning
+		// producers can proceed, then emit.
+		b.cur.Store(b.newEpoch())
+		b.emit(Batch[T]{Items: e.items, Seq: b.seq.Add(1) - 1, Oldest: e.first.Load()})
+	} else if t := int64(b.target.Load()); t > 0 && f-k < t && t <= f {
+		// The early seal goes through the locked path, so it and a
+		// concurrent Flush/capacity seal can't both emit the epoch.
+		b.targetFlush(e)
 	}
 }
 
