@@ -31,12 +31,13 @@ tier_test() {
 
 # The real-concurrency layers under the race detector: the public surface,
 # the lock-free buffers, the goroutine runtime, the parallel harness. The
-# runtime's in-flight, lane and stage invariants and MPBuffer's run claims
-# (PushN) then run repeatedly: their concurrent halves catch an ordering bug
-# only on some interleavings.
+# runtime's in-flight, lane and stage invariants, the per-worker bind
+# contract and MPBuffer's run claims (PushN) then run repeatedly: their
+# concurrent halves catch an ordering bug only on some interleavings.
 tier_race() {
   go test -race ./tram/ ./internal/shmem/ ./internal/rt/ ./internal/bench/
   go test -race ./internal/rt/ -run 'Settle|Lane|Parks|Quiesce|Slot' -count=20
+  go test -race ./tram/ ./internal/rt/ -run Bind -count=20
   go test -race ./internal/shmem/ -run PushN -count=50
 }
 

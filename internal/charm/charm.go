@@ -156,6 +156,11 @@ type PE struct {
 // ID returns the PE's global worker id.
 func (p *PE) ID() cluster.WorkerID { return p.id }
 
+// Ctx returns the PE's handler context: the pointer every handler and idle
+// hook on this PE receives for the whole run (its fields are reset at each
+// entry).
+func (p *PE) Ctx() *Ctx { return &p.ctx }
+
 // Ctx is the execution context passed to handlers and idle hooks. It carries
 // the handler's virtual-time cursor: Now() advances as the handler charges
 // costs, and sends are released at the cursor's current value.

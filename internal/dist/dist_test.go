@@ -81,20 +81,19 @@ func buildHisto(p histoParams) App {
 	}
 	return App{
 		RT: cfg,
-		Deliver: func(ctx *rt.Ctx, v uint64) {
+		Bind: rt.SharedBind(func(ctx *rt.Ctx, v uint64) {
 			self := int(ctx.Self())
 			rep.Count[self]++
 			rep.Xor[self] ^= v
 			ctx.Contribute(1)
-		},
-		Spawn: func(w cluster.WorkerID) (int, rt.KernelFunc) {
+		}, func(w cluster.WorkerID) (int, rt.KernelFunc) {
 			r := rng.NewStream(p.Seed, int(w))
 			return p.Z, func(ctx *rt.Ctx, _ int) {
 				u := r.Uint64()
 				dest := cluster.WorkerID(u % uint64(W))
 				ctx.Send(dest, uint64(dest)<<48|u&0xffffffffffff)
 			}
-		},
+		}),
 		Report: func() []byte {
 			b, _ := json.Marshal(rep)
 			return b
@@ -117,15 +116,14 @@ func buildReqResp(p histoParams) App {
 	}
 	return App{
 		RT: cfg,
-		Deliver: func(ctx *rt.Ctx, v uint64) {
+		Bind: rt.SharedBind(func(ctx *rt.Ctx, v uint64) {
 			if v&respFlag != 0 {
 				ctx.Contribute(1) // response landed back at its requester
 				return
 			}
 			requester := cluster.WorkerID(v & 0xffff)
 			ctx.Send(requester, respFlag|uint64(requester)<<48|v&0xffff)
-		},
-		Spawn: func(w cluster.WorkerID) (int, rt.KernelFunc) {
+		}, func(w cluster.WorkerID) (int, rt.KernelFunc) {
 			r := rng.NewStream(p.Seed, int(w))
 			self := w
 			return p.Z, func(ctx *rt.Ctx, _ int) {
@@ -135,7 +133,7 @@ func buildReqResp(p histoParams) App {
 				}
 				ctx.Send(dest, uint64(dest)<<48|uint64(self))
 			}
-		},
+		}),
 	}
 }
 

@@ -33,10 +33,9 @@ type App struct {
 	// RT is the runtime configuration, identical in every process (Part is
 	// owned by the worker and must be nil).
 	RT rt.Config
-	// Deliver and Spawn are the application callbacks internal/rt executes.
-	// Spawn is consulted only for the local process's workers.
-	Deliver rt.DeliverFunc
-	Spawn   rt.SpawnFunc
+	// Bind gives each worker its kernel and delivery hook (rt.BindFunc). It
+	// is called only for the local process's workers.
+	Bind rt.BindFunc
 	// Report, if non-nil, serializes the process's application results after
 	// quiescence (it runs after every worker goroutine has exited). The
 	// coordinator returns the bytes verbatim in ProcResult.Report.
@@ -412,7 +411,7 @@ func runWorker(proc cluster.ProcID, ctrlPath string, build BuildFunc) error {
 		cfg.IngressCap = setup.Serve.IngressCap
 		flushHist = stats.NewAtomicHist()
 	}
-	rtm := rt.New(cfg, app.Deliver, app.Spawn)
+	rtm := rt.NewBound(cfg, app.Bind)
 	if flushHist != nil {
 		rtm.SetFlushHist(flushHist)
 	}

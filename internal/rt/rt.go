@@ -61,6 +61,14 @@
 // exhausted the worker flushes its buffers and keeps draining deliveries and
 // tasks until global quiescence.
 //
+// A worker is bound once, before the run: NewBound calls its BindFunc with
+// the worker's Ctx — the one pointer every kernel step, delivery (self items
+// included) and posted task of that worker receives — and keeps the kernel
+// and delivery hook it returns. A caller that adapts Ctx to its own context
+// type can therefore build that worker's adapter once, there, rather than
+// look it up per item. New is the shared-hook form: one DeliverFunc for every
+// worker and a SpawnFunc for the kernels, bound the same way.
+//
 // Quiescence mirrors charm.Runtime.Run: every inserted item is tracked in an
 // in-flight counter that is decremented only after the item's DeliverFunc
 // returns, so sends issued from delivery handlers (index-gather responses)
@@ -229,6 +237,14 @@ type KernelFunc func(ctx *Ctx, step int)
 // steps and the step function (nil kernel or zero steps means the worker
 // only consumes). Called once per worker before the run starts.
 type SpawnFunc func(w cluster.WorkerID) (steps int, kernel KernelFunc)
+
+// BindFunc binds one worker before the run starts. ctx is the worker's
+// context: every kernel step, delivery and posted task of that worker
+// receives this same pointer for the whole run, so a hook may close over
+// per-worker state found through it once, here. It returns the worker's
+// kernel (as SpawnFunc does) and its delivery hook. Called once per local
+// worker, in worker order.
+type BindFunc func(ctx *Ctx) (steps int, kernel KernelFunc, deliver DeliverFunc)
 
 // Remote is the cross-process transport of partitioned mode: sealed batches
 // addressed outside the local process are flushed through it (internal/dist
@@ -478,8 +494,9 @@ type worker struct {
 	rt   *Runtime
 	note chan struct{} // capacity 1: wake-up for a parked worker
 
-	kernel KernelFunc
-	steps  int
+	kernel  KernelFunc
+	steps   int
+	deliver DeliverFunc
 
 	// owned lists the single-producer buffers this worker fills, one per
 	// route it can reach. bare, tagged and shared are Send's typed views,
@@ -547,12 +564,12 @@ type Ctx struct {
 	w  *worker
 }
 
-// Runtime executes kernels over real goroutines. Create with New, then Run.
+// Runtime executes kernels over real goroutines. Create with New or NewBound,
+// then Run.
 type Runtime struct {
-	cfg     Config
-	topo    cluster.Topology
-	plan    core.Plan // the scheme's row of the §III-B table, read once in New
-	deliver DeliverFunc
+	cfg  Config
+	topo cluster.Topology
+	plan core.Plan // the scheme's row of the §III-B table, read once in New
 
 	workers []*worker
 	// shared[p] lists the multi-producer buffers the workers of process p
@@ -610,22 +627,37 @@ type Runtime struct {
 	_         [64]byte
 }
 
-// New builds a runtime. spawn assigns each worker its kernel.
+// New builds a runtime with one delivery hook shared by every worker; spawn
+// assigns each worker its kernel.
 func New(cfg Config, deliver DeliverFunc, spawn SpawnFunc) *Runtime {
+	return NewBound(cfg, SharedBind(deliver, spawn))
+}
+
+// SharedBind is the BindFunc of New: every worker gets deliver, and spawn
+// assigns the kernels.
+func SharedBind(deliver DeliverFunc, spawn SpawnFunc) BindFunc {
+	return func(ctx *Ctx) (int, KernelFunc, DeliverFunc) {
+		steps, kernel := spawn(ctx.Self())
+		return steps, kernel, deliver
+	}
+}
+
+// NewBound builds a runtime; bind gives each worker its kernel and delivery
+// hook (see BindFunc).
+func NewBound(cfg Config, bind BindFunc) *Runtime {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	topo := cfg.Topo
 	plan := cfg.Scheme.Plan()
 	rt := &Runtime{
-		cfg:     cfg,
-		topo:    topo,
-		plan:    plan,
-		deliver: deliver,
-		done:    make(chan struct{}),
-		shared:  make([][]sharedSlot, topo.TotalProcs()),
-		procRR:  make([]atomic.Int32, topo.TotalProcs()),
-		part:    cfg.Part,
+		cfg:    cfg,
+		topo:   topo,
+		plan:   plan,
+		done:   make(chan struct{}),
+		shared: make([][]sharedSlot, topo.TotalProcs()),
+		procRR: make([]atomic.Int32, topo.TotalProcs()),
+		part:   cfg.Part,
 	}
 	rt.msgPool.New = func() any { return &msg{} }
 	minCap := cfg.BufferItems
@@ -636,8 +668,8 @@ func New(cfg Config, deliver DeliverFunc, spawn SpawnFunc) *Runtime {
 	rt.itemsPkd.minCap = minCap
 	rt.laneBufs.minCap = min(cfg.ChunkSize, minCap)
 
-	// In partitioned mode only the local process's workers exist (and spawn
-	// is consulted only for them); slots for remote workers stay nil.
+	// In partitioned mode only the local process's workers exist (and bind
+	// is called only for them); slots for remote workers stay nil.
 	rt.workers = make([]*worker, topo.TotalWorkers())
 	local := 0
 	for i := range rt.workers {
@@ -658,7 +690,7 @@ func New(cfg Config, deliver DeliverFunc, spawn SpawnFunc) *Runtime {
 			w.lanes = make([][]uint64, topo.WorkersPerProc)
 		}
 		w.ctx = Ctx{rt: rt, w: w}
-		w.steps, w.kernel = spawn(w.id)
+		w.steps, w.kernel, w.deliver = bind(&w.ctx)
 		rt.workers[i] = w
 		local++
 	}
@@ -1102,7 +1134,7 @@ func (c *Ctx) Send(dest cluster.WorkerID, value uint64) {
 	if dest == w.id {
 		// Self items short-circuit inline, as in the simulator.
 		w.sent[cSelfItems]++
-		rt.deliver(c, value)
+		w.deliver(c, value)
 		return
 	}
 
@@ -1292,7 +1324,7 @@ func (w *worker) handle(m *msg) {
 	case mkToWorker:
 		n := len(m.payloads)
 		for _, v := range m.payloads {
-			rt.deliver(&w.ctx, v)
+			w.deliver(&w.ctx, v)
 		}
 		rt.M.Delivered.Add(int64(n))
 		if m.ingress {
@@ -1338,7 +1370,7 @@ func (w *worker) scatterRuns(runs []Run) {
 	for _, r := range runs {
 		if r.Dest == w.id {
 			for _, v := range r.Payloads {
-				rt.deliver(&w.ctx, v)
+				w.deliver(&w.ctx, v)
 			}
 			own += int64(len(r.Payloads))
 			rt.putU64(r.Payloads)

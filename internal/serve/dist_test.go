@@ -63,19 +63,19 @@ func buildServeApp(name string, params []byte, proc cluster.ProcID) (dist.App, e
 	}
 	var count atomic.Int64
 	var xor atomic.Uint64
-	return dist.App{
-		RT: p.rtConfig(),
-		Deliver: func(ctx *rt.Ctx, v uint64) {
-			count.Add(1)
-			for {
-				old := xor.Load()
-				if xor.CompareAndSwap(old, old^v) {
-					break
-				}
+	deliver := func(ctx *rt.Ctx, v uint64) {
+		count.Add(1)
+		for {
+			old := xor.Load()
+			if xor.CompareAndSwap(old, old^v) {
+				break
 			}
-			ctx.Contribute(1)
-		},
-		Spawn: func(cluster.WorkerID) (int, rt.KernelFunc) { return 0, nil },
+		}
+		ctx.Contribute(1)
+	}
+	return dist.App{
+		RT:   p.rtConfig(),
+		Bind: func(*rt.Ctx) (int, rt.KernelFunc, rt.DeliverFunc) { return 0, nil, deliver },
 		Report: func() []byte {
 			b, _ := json.Marshal(liveaggReport{Count: count.Load(), Xor: xor.Load()})
 			return b

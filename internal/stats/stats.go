@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
 	"strings"
 )
 
@@ -340,42 +339,4 @@ func decimalsFor(av float64) int {
 		d = 0
 	}
 	return d
-}
-
-// Summary computes basic descriptive statistics over a float64 slice; used by
-// tests and the harness for repeated-trial reporting.
-type Summary struct {
-	N                int
-	Mean, Std        float64
-	Min, Median, Max float64
-}
-
-// Summarize computes a Summary of xs. Empty input yields a zero Summary.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	s := Summary{N: len(xs)}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	s.Min = sorted[0]
-	s.Max = sorted[len(sorted)-1]
-	s.Median = sorted[len(sorted)/2]
-	if len(sorted)%2 == 0 {
-		s.Median = (sorted[len(sorted)/2-1] + sorted[len(sorted)/2]) / 2
-	}
-	var sum float64
-	for _, x := range xs {
-		sum += x
-	}
-	s.Mean = sum / float64(len(xs))
-	var ss float64
-	for _, x := range xs {
-		d := x - s.Mean
-		ss += d * d
-	}
-	if len(xs) > 1 {
-		s.Std = math.Sqrt(ss / float64(len(xs)-1))
-	}
-	return s
 }

@@ -2,7 +2,6 @@ package stats
 
 import (
 	"encoding/json"
-	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -234,23 +233,6 @@ func TestFormatFloat(t *testing.T) {
 		if got := FormatFloat(c.in); got != c.want {
 			t.Errorf("FormatFloat(%v) = %q, want %q", c.in, got, c.want)
 		}
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3, 4})
-	if s.N != 4 || s.Min != 1 || s.Max != 4 {
-		t.Fatalf("bad summary: %+v", s)
-	}
-	if s.Mean != 2.5 || s.Median != 2.5 {
-		t.Fatalf("mean/median: %+v", s)
-	}
-	want := math.Sqrt((2.25 + 0.25 + 0.25 + 2.25) / 3)
-	if math.Abs(s.Std-want) > 1e-12 {
-		t.Fatalf("std = %v, want %v", s.Std, want)
-	}
-	if z := Summarize(nil); z.N != 0 {
-		t.Fatal("empty summary not zero")
 	}
 }
 

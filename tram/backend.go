@@ -87,8 +87,9 @@ type simRun struct {
 }
 
 // simCtx adapts a charm handler context to the tram Ctx interface. One per
-// worker, rebound (not reallocated) at each handler entry; handler execution
-// is serial per PE, so reuse is race-free.
+// worker, bound before the run to the PE's handler context, which charm
+// reuses for every handler on that PE; handler execution is serial per PE,
+// so the adapter needs no locking.
 type simCtx struct {
 	run *simRun
 	ch  *charm.Ctx
@@ -106,13 +107,6 @@ func (c *simCtx) Now() time.Duration           { return time.Duration(c.ch.Now()
 // deliveries (including expedited aggregation packets) run first.
 func (c *simCtx) Post(fn func(Ctx)) { c.ch.Send(c.ch.Self(), c.run.hPost, fn, 0, false) }
 
-// bind points worker w's reusable context at the live charm context.
-func (b *simRun) bind(ctx *charm.Ctx) *simCtx {
-	sc := &b.ctxs[ctx.Self()]
-	sc.ch = ctx
-	return sc
-}
-
 func (simBackend) run(cfg Config, app rawApp) (Metrics, error) {
 	if err := cfg.Validate(); err != nil {
 		return Metrics{}, err
@@ -127,13 +121,13 @@ func (simBackend) run(cfg Config, app rawApp) (Metrics, error) {
 		contrib: make([]int64, W),
 	}
 	for i := range b.ctxs {
-		b.ctxs[i].run = b
+		b.ctxs[i] = simCtx{run: b, ch: chrt.PE(WorkerID(i)).Ctx()}
 	}
 	b.hPost = chrt.Register("tram.post", func(ctx *charm.Ctx, data any, _ int) {
-		data.(func(Ctx))(b.bind(ctx))
+		data.(func(Ctx))(&b.ctxs[ctx.Self()])
 	})
 	b.lib = core.New(chrt, cfg.simConfig(), func(ctx *charm.Ctx, word uint64) {
-		app.deliver(b.bind(ctx), word)
+		app.deliver(&b.ctxs[ctx.Self()], word)
 		b.lastDel = ctx.Now()
 	})
 
@@ -147,8 +141,9 @@ func (simBackend) run(cfg Config, app rawApp) (Metrics, error) {
 		if steps <= 0 || kernel == nil {
 			continue
 		}
-		drv.Spawn(WorkerID(w), steps, chunk, func(ctx *charm.Ctx, i int) {
-			kernel(b.bind(ctx), i)
+		sc := &b.ctxs[w]
+		drv.Spawn(WorkerID(w), steps, chunk, func(_ *charm.Ctx, i int) {
+			kernel(sc, i)
 		}, done)
 	}
 	end := chrt.Run()
@@ -188,49 +183,33 @@ type realBackend struct{}
 
 func (realBackend) String() string { return "real" }
 
-// realRun holds the pooled per-worker context adapters of one execution on
-// the goroutine runtime — used by the Real backend directly and by the Dist
-// backend's worker processes (tram.Main), which run the same runtime
-// restricted to one process of the topology.
-type realRun struct {
-	start time.Time
-	ctxs  []realCtx
-}
-
-// newRTBinding returns a fresh adapter set for W workers.
-func newRTBinding(W int) *realRun {
-	b := &realRun{start: time.Now(), ctxs: make([]realCtx, W)}
-	for i := range b.ctxs {
-		rc := &b.ctxs[i]
-		rc.run = b
-		rc.pump = rc.runPending
-	}
-	return b
-}
-
-// deliverFunc adapts the word-level app to the runtime's delivery hook.
-func (b *realRun) deliverFunc(app rawApp) rt.DeliverFunc {
-	return func(ctx *rt.Ctx, word uint64) {
-		app.deliver(b.bind(ctx), word)
-	}
-}
-
-// spawnFunc adapts the word-level app to the runtime's spawn hook.
-func (b *realRun) spawnFunc(app rawApp) rt.SpawnFunc {
-	return func(w WorkerID) (int, rt.KernelFunc) {
-		steps, kernel := app.spawn(w)
+// realBind adapts the word-level app to the goroutine runtime's per-worker
+// bind hook — for the Real backend directly and for the Dist backend's
+// worker processes (tram.Main), which run the same runtime restricted to one
+// process of the topology. Each worker's adapter is built and pointed at its
+// runtime context once; the kernel and delivery closures hand the app that
+// adapter directly. The run's clock starts here.
+func realBind(app rawApp) rt.BindFunc {
+	start := time.Now()
+	return func(ctx *rt.Ctx) (int, rt.KernelFunc, rt.DeliverFunc) {
+		c := &realCtx{start: start, rc: ctx}
+		c.pump = c.runPending
+		deliver := app.deliver
+		onItem := func(_ *rt.Ctx, word uint64) { deliver(c, word) }
+		steps, kernel := app.spawn(ctx.Self())
 		if steps <= 0 || kernel == nil {
-			return 0, nil
+			return 0, nil, onItem
 		}
-		return steps, func(ctx *rt.Ctx, i int) { kernel(b.bind(ctx), i) }
+		return steps, func(_ *rt.Ctx, i int) { kernel(c, i) }, onItem
 	}
 }
 
 // realCtx adapts a goroutine-runtime context to the tram Ctx interface. One
-// per worker, touched only by the owning goroutine.
+// per worker, bound once to that worker's context and touched only by the
+// owning goroutine.
 type realCtx struct {
-	run *realRun
-	rc  *rt.Ctx
+	start time.Time
+	rc    *rt.Ctx
 
 	// pending queues tram-level posted tasks; pump is the single adapter
 	// closure (built once per worker) handed to rt.Ctx.Post, which pops and
@@ -251,7 +230,7 @@ func (c *realCtx) Flush()                       { c.rc.Flush() }
 func (c *realCtx) Charge(time.Duration) {}
 
 // Now is wall time since the run started.
-func (c *realCtx) Now() time.Duration { return time.Since(c.run.start) }
+func (c *realCtx) Now() time.Duration { return time.Since(c.start) }
 
 // Post enqueues fn on the worker's local task queue. The runtime sees only
 // the worker's pre-built pump closure; fn lands on the adapter's own FIFO,
@@ -262,8 +241,7 @@ func (c *realCtx) Post(fn func(Ctx)) {
 }
 
 // runPending pops and runs one posted task (the pump body).
-func (c *realCtx) runPending(ctx *rt.Ctx) {
-	c.rc = ctx
+func (c *realCtx) runPending(*rt.Ctx) {
 	fn := c.pending[c.pendingHead]
 	c.pending[c.pendingHead] = nil
 	c.pendingHead++
@@ -274,19 +252,11 @@ func (c *realCtx) runPending(ctx *rt.Ctx) {
 	fn(c)
 }
 
-// bind points worker w's reusable context at the live runtime context.
-func (b *realRun) bind(ctx *rt.Ctx) *realCtx {
-	rc := &b.ctxs[ctx.Self()]
-	rc.rc = ctx
-	return rc
-}
-
 func (realBackend) run(cfg Config, app rawApp) (Metrics, error) {
 	if err := cfg.Validate(); err != nil {
 		return Metrics{}, err
 	}
-	b := newRTBinding(cfg.Topo.TotalWorkers())
-	rtm := rt.New(cfg.realConfig(), b.deliverFunc(app), b.spawnFunc(app))
+	rtm := rt.NewBound(cfg.realConfig(), realBind(app))
 	return realMetrics(rtm.Run()), nil
 }
 

@@ -141,13 +141,11 @@ func Main() {
 		if err := da.cfg.Validate(); err != nil {
 			return dist.App{}, err
 		}
-		b := newRTBinding(da.cfg.Topo.TotalWorkers())
 		scheme := da.cfg.Scheme
 		return dist.App{
-			RT:      da.cfg.realConfig(),
-			Deliver: b.deliverFunc(da.raw),
-			Spawn:   b.spawnFunc(da.raw),
-			Report:  da.report,
+			RT:     da.cfg.realConfig(),
+			Bind:   realBind(da.raw),
+			Report: da.report,
 			// The frontend process of a serve run binds the ingestion
 			// listener here; batch runs never call it.
 			Serve: func(rtm *rt.Runtime, opts dist.ServeOpts) (dist.FrontendHandle, error) {

@@ -158,11 +158,16 @@ func (l Lib[T]) bind(app App[T]) (rawApp, error) {
 	if raw.spawn == nil {
 		raw.spawn = func(WorkerID) (int, KernelFunc) { return 0, nil }
 	}
-	if app.Deliver != nil {
+	words, wordItems := any(app.Deliver).(func(Ctx, uint64))
+	_, identity := any(l.Codec).(U64Codec)
+	switch {
+	case app.Deliver == nil:
+		raw.deliver = func(Ctx, uint64) {}
+	case wordItems && identity:
+		raw.deliver = words // the word is the item: no decode step
+	default:
 		deliver, codec := app.Deliver, l.Codec
 		raw.deliver = func(ctx Ctx, word uint64) { deliver(ctx, codec.Decode(word)) }
-	} else {
-		raw.deliver = func(Ctx, uint64) {}
 	}
 	return raw, nil
 }

@@ -97,8 +97,7 @@ func (realBackend) serve(cfg Config, app rawApp) (*Server, error) {
 	rtCfg := cfg.realConfig()
 	rtCfg.Serve = true
 	rtCfg.IngressCap = cfg.Serve.IngressCap
-	b := newRTBinding(cfg.Topo.TotalWorkers())
-	rtm := rt.New(rtCfg, b.deliverFunc(app), b.spawnFunc(app))
+	rtm := rt.NewBound(rtCfg, realBind(app))
 	hist := stats.NewAtomicHist()
 	rtm.SetFlushHist(hist)
 	resC := make(chan rt.Result, 1)

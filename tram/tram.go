@@ -58,12 +58,17 @@
 // # Zero-alloc invariant
 //
 // The Lib[T] hot path adds no allocations over the underlying runtime:
-// Encode/Decode pack items into machine words, contexts are pooled
-// per-worker, and inserting through the public API is allocation-free in
-// steady state — the same pooling discipline internal/core and internal/rt
-// maintain. TestWrapperAllocParityWithCore holds it: the same insert stream
-// through Lib[uint64] on Sim and against internal/core directly must cost
-// the same mallocs per simulator event.
+// Encode/Decode pack items into machine words, and each worker's Ctx is
+// built once and bound to its runtime context before the run — no item or
+// handler entry rebinds it — so inserting and delivering through the public
+// API is allocation-free in steady state, the same pooling discipline
+// internal/core and internal/rt maintain. Under the identity codec (U64) the
+// backends call Deliver with no decode step in between. Two tests hold it:
+// the same insert stream through Lib[uint64] on Sim and against
+// internal/core directly must cost the same mallocs per simulator event
+// (TestWrapperAllocParityWithCore), and the same histogram flood through
+// Lib[uint64] on Real and against internal/rt directly the same mallocs per
+// item (TestRealWrapperAllocParityWithRT).
 package tram
 
 import (
